@@ -36,7 +36,10 @@
 //!   per `(input port, VC)` arbitration slot, set *iff* that input VC has
 //!   a buffered flit. Switch allocation iterates set bits in round-robin
 //!   order instead of scanning all `ports × VCs` slots — the single
-//!   biggest win (~6× on the paper workload). Requires
+//!   biggest win (~6× on the paper workload). Each cycle one pass over
+//!   the occupied slots builds a mask of switch-ready ones, and each
+//!   output port scans only the ready slots routed to it whose crossbar
+//!   input is still free; probed runs share that scan. Requires
 //!   `ports × total VCs ≤ 64` (validated by `Network::new`, which
 //!   returns [`ConfigError::VcOverflow`] otherwise).
 //! - **Zero steady-state allocation.** The per-cycle delivery/credit

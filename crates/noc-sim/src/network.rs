@@ -103,8 +103,6 @@ struct TimedFlit {
 #[derive(Debug, Clone, Default)]
 struct InputVc {
     buf: VecDeque<TimedFlit>,
-    /// Output port of the packet currently at the front.
-    route: Option<usize>,
     /// Downstream VC allocated to the front packet.
     out_vc: Option<usize>,
 }
@@ -136,10 +134,10 @@ pub(crate) struct Router {
     /// (validated in `Network::new` as `ConfigError::VcOverflow`).
     occ: u64,
     /// Per-output-port mask of slots whose front packet is routed to that
-    /// port (bit set iff `inputs[slot].route == Some(port)`). The
-    /// unprobed switch-allocation scan visits only `routed[p] & occ` plus
-    /// the still-unrouted occupied slots, skipping slots that would fail
-    /// the route check anyway.
+    /// port; a slot is in at most one mask, and in none between packets.
+    /// Set when the head flit first becomes switch-ready, cleared when
+    /// the tail leaves. Switch allocation for port `p` scans only
+    /// `routed[p]` intersected with the cycle's ready mask.
     routed: [u64; NUM_PORTS],
 }
 
@@ -346,8 +344,11 @@ pub(crate) struct StepCtx {
     /// `NUM_PORTS * total_vcs` arbitration slots.
     slots: usize,
     /// Input port of each arbitration slot (`slot / total_vcs`,
-    /// precomputed: the scan runs per buffered flit per output port).
+    /// precomputed for the per-winner lookup).
     slot_port: [u8; MAX_ARBITRATION_SLOTS],
+    /// Slot mask of each input port's VCs: claiming a crossbar input
+    /// removes these slots from the rest of the cycle's scans.
+    port_slots: [u64; NUM_PORTS],
     /// `neighbors[tile][port]` for the four cardinal ports, torus wrap
     /// applied; `u16::MAX` marks a mesh edge.
     neighbors: Vec<[u16; 4]>,
@@ -373,8 +374,9 @@ enum SimEvent {
     HeadInject(PacketId),
     /// A flit left `(router, vc)` through the crossbar (heatmap ledger).
     Pop { r: u32, vc: u8 },
-    /// Arbitration skipped an occupied slot: crossbar input in use.
-    SwitchStall(u32),
+    /// Arbitration passed over `n` occupied slots at `r` whose crossbar
+    /// input was already claimed (one event per output-port scan).
+    SwitchStall { r: u32, n: u8 },
     /// No free output VC in the packet's class.
     VcStall(u32),
     /// Downstream buffer full.
@@ -485,28 +487,28 @@ fn inject_tile_core(
         let rr = ni.rr_class;
         for off in 0..2 {
             let class = (rr + off) % 2;
-            if ni.queues[class].is_empty() {
+            let Some(&q) = ni.queues[class].front() else {
                 continue;
-            }
+            };
             // Pick the class VC with the most credits.
             let range = class * ctx.vpc..(class + 1) * ctx.vpc;
-            if let Some(vc) = range
-                .clone()
+            let Some(vc) = range
                 .filter(|&v| ni.credits[v] > 0)
                 .max_by_key(|&v| ni.credits[v])
-            {
-                let q = ni.queues[class].pop_front().expect("non-empty");
-                ni.current = Some(NiCur {
-                    id: q.id,
-                    idx: 0,
-                    len: q.len,
-                    dst: q.dst,
-                    vc: vc as u8,
-                    mem: class == 1,
-                });
-                ni.rr_class = (class + 1) % 2;
-                break;
-            }
+            else {
+                continue;
+            };
+            ni.queues[class].pop_front();
+            ni.current = Some(NiCur {
+                id: q.id,
+                idx: 0,
+                len: q.len,
+                dst: q.dst,
+                vc: vc as u8,
+                mem: class == 1,
+            });
+            ni.rr_class = (class + 1) % 2;
+            break;
         }
     }
     // Push one flit of the current packet if credit allows.
@@ -577,10 +579,47 @@ fn step_band(
     }
 }
 
+/// Output port of a head flit for `dst` at router `r`. A pure function
+/// of `(r, dst)`, so when the simulator computes it is unobservable.
+fn route_port(ctx: &StepCtx, r: usize, dst: u16) -> usize {
+    let here = TileId(r);
+    let dst = TileId(dst as usize);
+    port_of(match (ctx.topology, ctx.routing) {
+        (Topology::Mesh, RoutingKind::Xy) => route_xy(&ctx.mesh, here, dst),
+        (Topology::Mesh, RoutingKind::Yx) => route_yx(&ctx.mesh, here, dst),
+        (Topology::Torus, RoutingKind::Xy) => route_xy_torus(&ctx.mesh, here, dst),
+        (Topology::Torus, RoutingKind::Yx) => route_yx_torus(&ctx.mesh, here, dst),
+    })
+}
+
+/// Whether `slot`'s front flit may leave its buffer this cycle. A ready
+/// front that is not routed yet must be a head: route it now, so every
+/// switch-ready slot sits in exactly one `Router::routed` mask.
+fn front_ready(router: &mut Router, slot: usize, r: usize, cycle: u64, ctx: &StepCtx) -> bool {
+    let front = match router.inputs[slot].buf.front() {
+        Some(tf) if tf.ready <= cycle => tf.flit,
+        _ => return false,
+    };
+    let bit = 1u64 << slot;
+    let routed_any = router.routed.iter().fold(0, |acc, m| acc | m);
+    if routed_any & bit == 0 {
+        debug_assert!(front.is_head(), "routing state lost mid-packet");
+        router.routed[route_port(ctx, r, front.dst)] |= bit;
+    }
+    true
+}
+
 /// One cycle of a single router: routing, VC allocation, switch
 /// allocation, traversal, credit return. Touches only this router's own
 /// state; cross-router effects (deliveries, credits) and observability
 /// events go to `sink`.
+///
+/// Switch allocation visits, per output port and in round-robin order,
+/// only the slots that can win: routed to that port, front flit out of
+/// the router pipeline (`ready`), and crossbar input still free (`used`).
+/// Every skipped slot would have failed one of those checks with no side
+/// effect, so the winner, the VC allocations and the stalls charged along
+/// the way are those of a scan over every occupied slot.
 fn step_router_core(
     router: &mut Router,
     r: usize,
@@ -589,127 +628,98 @@ fn step_router_core(
     sink: &mut ShardSink,
 ) {
     let total_vcs = ctx.total_vcs;
-    // One crossbar input per port and cycle (switch allocation's physical
-    // constraint), unless disabled for ablation.
-    let mut input_used: u32 = 0;
-    // Per output port: route/VC-allocate eligible inputs, then pick one
-    // winner round-robin.
+    // Occupied slots whose front flit is switch-ready this cycle.
+    let mut ready = 0u64;
+    let mut occ = router.occ;
+    while occ != 0 {
+        let slot = occ.trailing_zeros() as usize;
+        occ &= occ - 1;
+        if front_ready(router, slot, r, cycle, ctx) {
+            ready |= 1 << slot;
+        }
+    }
+    // Slots of the crossbar inputs claimed this cycle: one input per port
+    // and cycle (switch allocation's physical constraint), unless the
+    // limit is disabled for ablation, in which case this stays empty.
+    let mut used = 0u64;
     for out_port in 0..NUM_PORTS {
-        let occ = router.occ;
-        if occ == 0 {
-            break;
-        }
-        // Candidate slots for this output. The unprobed scan visits only
-        // slots whose front packet is already routed here plus the
-        // still-unrouted occupied slots (their route is computed lazily on
-        // first inspection and may point anywhere): a slot routed to a
-        // *different* port would fail the route check with no side
-        // effects, so skipping it is behaviour-preserving. The probed scan
-        // visits every occupied slot exactly like the original router so
-        // the heatmap's switch-stall upper bound keeps its historical
-        // definition (pinned by the probed≡unprobed determinism tests).
-        let cand = if ctx.probed {
-            occ
-        } else {
-            let routed_any = router.routed[0]
-                | router.routed[1]
-                | router.routed[2]
-                | router.routed[3]
-                | router.routed[4];
-            (router.routed[out_port] | !routed_any) & occ
-        };
-        if cand == 0 {
-            continue;
-        }
+        let cand = router.routed[out_port] & ready & !used;
         let rr_start = router.rr[out_port];
-        // Identical round-robin order to a full slot scan: ascending from
-        // `rr_start`, then the wrap-around below it.
-        let parts = [
-            cand & (u64::MAX << rr_start),
-            cand & !(u64::MAX << rr_start),
-        ];
-        let mut winner = usize::MAX;
-        'scan: for mut part in parts {
+        let upper = u64::MAX << rr_start;
+        // Round-robin order: ascending from `rr_start`, then the
+        // wrap-around below it. The winner carries its output VC
+        // (unused for ejection).
+        let mut winner = None;
+        'scan: for mut part in [cand & upper, cand & !upper] {
             while part != 0 {
                 let slot = part.trailing_zeros() as usize;
                 part &= part - 1;
-                let in_port = ctx.slot_port[slot] as usize;
-                if ctx.crossbar_input_limit && input_used & (1 << in_port) != 0 {
-                    // Arbitration-pressure proxy: the slot may not even
-                    // want this output port (routing is checked later) or
-                    // may not be switch-ready yet, so this counter is an
-                    // upper bound (see HeatmapRecord).
-                    if ctx.probed {
-                        sink.step_events.push(SimEvent::SwitchStall(r as u32));
-                    }
-                    continue;
+                if out_port == P_LOCAL {
+                    winner = Some((slot, 0));
+                    break 'scan;
                 }
-                // Routing + VC allocation for the front flit.
-                let front = match router.inputs[slot].buf.front() {
-                    Some(tf) if tf.ready <= cycle => tf.flit,
-                    _ => continue,
-                };
-                if router.inputs[slot].route.is_none() {
-                    debug_assert!(front.is_head(), "routing state lost mid-packet");
-                    let here = TileId(r);
-                    let dst = TileId(front.dst as usize);
-                    let dir = match (ctx.topology, ctx.routing) {
-                        (Topology::Mesh, RoutingKind::Xy) => route_xy(&ctx.mesh, here, dst),
-                        (Topology::Mesh, RoutingKind::Yx) => route_yx(&ctx.mesh, here, dst),
-                        (Topology::Torus, RoutingKind::Xy) => route_xy_torus(&ctx.mesh, here, dst),
-                        (Topology::Torus, RoutingKind::Yx) => route_yx_torus(&ctx.mesh, here, dst),
-                    };
-                    let p = port_of(dir);
-                    router.inputs[slot].route = Some(p);
-                    router.routed[p] |= 1 << slot;
-                }
-                if router.inputs[slot].route != Some(out_port) {
-                    continue;
-                }
-                if out_port != P_LOCAL && router.inputs[slot].out_vc.is_none() {
-                    let class = front.class_index();
-                    let obase = out_port * total_vcs;
-                    let range = class * ctx.vpc..(class + 1) * ctx.vpc;
-                    let free = range.clone().find(|&v| !router.outputs[obase + v].busy);
-                    if let Some(v) = free {
+                let obase = out_port * total_vcs;
+                let ovc = match router.inputs[slot].out_vc {
+                    Some(v) => v,
+                    None => {
+                        let class = match router.inputs[slot].buf.front() {
+                            Some(tf) => tf.flit.class_index(),
+                            None => continue,
+                        };
+                        let mut range = class * ctx.vpc..(class + 1) * ctx.vpc;
+                        let Some(v) = range.find(|&v| !router.outputs[obase + v].busy) else {
+                            if ctx.probed {
+                                sink.step_events.push(SimEvent::VcStall(r as u32));
+                            }
+                            continue; // no VC available this cycle
+                        };
                         router.outputs[obase + v].busy = true;
                         router.inputs[slot].out_vc = Some(v);
-                    } else {
-                        if ctx.probed {
-                            sink.step_events.push(SimEvent::VcStall(r as u32));
-                        }
-                        continue; // no VC available this cycle
+                        v
                     }
-                }
-                if out_port != P_LOCAL {
-                    let ovc = router.inputs[slot].out_vc.expect("allocated");
-                    if router.outputs[out_port * total_vcs + ovc].credits == 0 {
-                        if ctx.probed {
-                            sink.step_events.push(SimEvent::CreditStall(r as u32));
-                        }
-                        continue; // downstream buffer full
+                };
+                if router.outputs[obase + ovc].credits == 0 {
+                    if ctx.probed {
+                        sink.step_events.push(SimEvent::CreditStall(r as u32));
                     }
+                    continue; // downstream buffer full
                 }
-                winner = slot;
-                router.rr[out_port] = (slot + 1) % ctx.slots;
+                winner = Some((slot, ovc));
                 break 'scan;
             }
         }
-        if winner == usize::MAX {
-            continue;
+        if ctx.probed && used != 0 {
+            // Switch stalls: the occupied slots of claimed inputs that a
+            // scan over every occupied slot passes before the winner (all
+            // of them when there is none). Counted as an upper bound on
+            // arbitration pressure (see HeatmapRecord::switch_stalls).
+            let visited = match winner {
+                None => u64::MAX,
+                Some((w, _)) if w >= rr_start => upper & !(u64::MAX << w),
+                Some((w, _)) => upper | !(u64::MAX << w),
+            };
+            let n = (router.occ & used & visited).count_ones();
+            if n > 0 {
+                sink.step_events.push(SimEvent::SwitchStall {
+                    r: r as u32,
+                    n: n as u8,
+                });
+            }
         }
-        let slot = winner;
+        let Some((slot, ovc)) = winner else {
+            continue;
+        };
+        router.rr[out_port] = (slot + 1) % ctx.slots;
         let in_port = ctx.slot_port[slot] as usize;
         let vc = slot - in_port * total_vcs;
-        input_used |= 1 << in_port;
-        // ---- Traversal: pop and move the flit.
-        let tf = router.inputs[slot]
-            .buf
-            .pop_front()
-            .expect("winner has a flit");
-        if router.inputs[slot].buf.is_empty() {
-            router.occ &= !(1 << slot);
+        if ctx.crossbar_input_limit {
+            used |= ctx.port_slots[in_port];
         }
+        // ---- Traversal: pop and move the flit.
+        let bit = 1u64 << slot;
+        let Some(TimedFlit { flit, .. }) = router.inputs[slot].buf.pop_front() else {
+            continue; // unreachable: a ready slot holds a flit
+        };
         router.buffered -= 1;
         sink.buffered -= 1;
         if ctx.probed {
@@ -718,7 +728,6 @@ fn step_router_core(
                 vc: vc as u8,
             });
         }
-        let flit = tf.flit;
         // Credit back to whoever feeds this input VC.
         if in_port == P_LOCAL {
             sink.credits.push(Credit::Ni { tile: r, vc });
@@ -742,7 +751,6 @@ fn step_router_core(
                 sink.step_events.push(SimEvent::TailEject(flit.packet));
             }
         } else {
-            let ovc = router.inputs[slot].out_vc.expect("allocated");
             router.outputs[out_port * total_vcs + ovc].credits -= 1;
             sink.link_traversals += 1;
             if ctx.probed {
@@ -768,9 +776,17 @@ fn step_router_core(
             }
         }
         if flit.is_tail() {
-            router.inputs[slot].route = None;
-            router.routed[out_port] &= !(1 << slot);
+            router.routed[out_port] &= !bit;
             router.inputs[slot].out_vc = None;
+        }
+        // The next flit in the slot may already be switch-ready (zero
+        // router stages); without the crossbar input limit it competes
+        // for the remaining output ports this cycle.
+        ready &= !bit;
+        if router.inputs[slot].buf.is_empty() {
+            router.occ &= !bit;
+        } else if front_ready(router, slot, r, cycle, ctx) {
+            ready |= bit;
         }
     }
 }
@@ -1120,6 +1136,8 @@ impl Network {
         for (s, p) in slot_port.iter_mut().enumerate().take(slots) {
             *p = (s / total_vcs) as u8;
         }
+        let vc_mask = (1u64 << total_vcs) - 1;
+        let port_slots = std::array::from_fn(|p| vc_mask << (p * total_vcs));
         let n = self.cfg.mesh.num_tiles();
         let mut neighbors = vec![[u16::MAX; 4]; n];
         for (t, row) in neighbors.iter_mut().enumerate() {
@@ -1140,6 +1158,7 @@ impl Network {
             total_vcs,
             slots,
             slot_port,
+            port_slots,
             neighbors,
             probed,
             timed: self.metrics.enabled(),
@@ -1600,9 +1619,9 @@ impl Network {
                     fl.heatmap.on_pop(r as usize, vc as usize, cycle);
                 }
             }
-            SimEvent::SwitchStall(r) => {
+            SimEvent::SwitchStall { r, n } => {
                 if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_switch_stall(r as usize);
+                    fl.heatmap.on_switch_stalls(r as usize, n as u64);
                 }
             }
             SimEvent::VcStall(r) => {

@@ -70,10 +70,12 @@ pub struct HeatmapRecord {
     pub credit_stalls: Vec<u64>,
     /// Per-router cycles a routed head flit found no free downstream VC.
     pub vc_stalls: Vec<u64>,
-    /// Per-router cycles an occupied input VC was skipped because the
-    /// crossbar input was already claimed this cycle. This is an
-    /// arbitration-pressure proxy and an upper bound: the scan also skips
-    /// VCs whose front flit is still in the router pipeline.
+    /// Per-router count of occupied input VCs passed over because their
+    /// crossbar input was already claimed this cycle: per output port,
+    /// those that round-robin order reaches before the winner (all of
+    /// them when none wins). This is an arbitration-pressure proxy and an
+    /// upper bound: it includes VCs whose front flit is still in the
+    /// router pipeline or wants another output port.
     pub switch_stalls: Vec<u64>,
     // Running occupancy state: each buffered flit subtracts its buffer
     // cycle from the ledger and bumps `pending`; popping adds the pop
@@ -158,11 +160,11 @@ impl HeatmapRecord {
         self.vc_stalls[router] += 1;
     }
 
-    /// Record a switch skip at `router` (occupied VC passed over because
-    /// the crossbar input was already claimed).
+    /// Record `n` switch skips at `router` (occupied VCs passed over
+    /// because their crossbar input was already claimed).
     #[inline]
-    pub fn on_switch_stall(&mut self, router: usize) {
-        self.switch_stalls[router] += 1;
+    pub fn on_switch_stalls(&mut self, router: usize, n: u64) {
+        self.switch_stalls[router] += n;
     }
 
     /// Close the occupancy ledgers at `end_cycle` (the run's final
@@ -310,7 +312,7 @@ mod tests {
         h.on_link_traversal(3, PORT_NORTH);
         h.on_credit_stall(1);
         h.on_vc_stall(1);
-        h.on_switch_stall(2);
+        h.on_switch_stalls(2, 1);
         assert_eq!(h.total_link_flits(), 3);
         assert_eq!(h.link_flits[PORT_EAST], 2);
         assert_eq!(h.credit_stalls, vec![0, 1, 0, 0]);

@@ -5,6 +5,11 @@
 #   1. rustfmt          — formatting must be canonical (`--check`, no writes)
 #   2. clippy           — whole workspace incl. tests/benches, warnings fatal
 #   3. tier-1 gate      — release build + full test suite
+#   3b. benchmark build  — the repository benchmark (`perfbench/`, its own
+#                         Cargo package outside the workspace) builds
+#                         against the current crates and passes its
+#                         self-tests, so a crate change that breaks the
+#                         benchmark fails here
 #   4. examples         — every example must build *and* run to completion
 #   5. determinism      — the portfolio engine's worker-count-invariance
 #                         suite, the batch-evaluation suite (eval_many ≡
@@ -78,6 +83,9 @@ cargo build --release --workspace
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --workspace
+
+echo "==> benchmark build + self-tests (perfbench)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> examples: build and run every example"
 cargo build --release --workspace --examples

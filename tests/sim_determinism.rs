@@ -12,15 +12,19 @@
 //!    pre-optimization simulator — any drift means simulated semantics
 //!    changed, which is a bug even if the new numbers look plausible;
 //! 3. packet and flit conservation hold under randomized loads, buffer
-//!    depths and VC counts (property-based).
+//!    depths and VC counts (property-based);
+//! 4. the probed run's per-router stall counters and occupancy integrals
+//!    reproduce goldens captured from the full-scan switch allocator, and
+//!    probed runs match plain ones across the router's configuration
+//!    corners (property-based).
 //!
 //! [`SimReport::semantic_eq`]: obm::sim::SimReport::semantic_eq
 
-use obm::model::{MemoryControllers, Mesh, TileId};
+use obm::model::{MemoryControllers, Mesh, TileId, Topology};
 use obm::sim::{
-    InjectionProcess, Network, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
+    InjectionProcess, Network, RoutingKind, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
 };
-use obm::telemetry::{NoopSink, Phase, RingSink};
+use obm::telemetry::{HeatmapRecord, NoopSink, Phase, RingSink};
 use proptest::prelude::*;
 
 /// The pinned scenario's network: 4×4 mesh, one far memory controller,
@@ -449,6 +453,292 @@ fn pinned_heatmap_link_conservation_both_injection_modes() {
     for stalls in [&heat.credit_stalls, &heat.vc_stalls] {
         let total: u64 = stalls.iter().sum();
         assert!(total <= heat.cycles * n_routers);
+    }
+}
+
+/// The heatmap of one probed run, plus its report.
+fn probed_heatmap(net: Network) -> (SimReport, HeatmapRecord) {
+    let mut sink = RingSink::new(1_024);
+    let r = net.run_probed(&mut sink);
+    let heat = sink.heatmaps().next().expect("heatmap emitted").clone();
+    (r, heat)
+}
+
+/// Order-sensitive fingerprint of a per-router (or per-VC) counter
+/// vector: its total plus a position-weighted sum, so a count moving
+/// between routers changes the fingerprint even when the total holds.
+fn fingerprint(v: &[u64]) -> (u64, u64) {
+    let weighted = v.iter().enumerate().map(|(i, &x)| (i as u64 + 1) * x);
+    (v.iter().sum(), weighted.sum())
+}
+
+/// The 8×8 saturated scenario (uniform 48 cache + 7.2 memory packets per
+/// kilocycle per source, Bernoulli) with the crossbar input limit on or
+/// off, shortened so the debug-mode suite stays quick.
+fn saturated_8x8_network(crossbar_input_limit: bool) -> Network {
+    let mesh = Mesh::square(8);
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    cfg.warmup_cycles = 200;
+    cfg.measure_cycles = 1_000;
+    cfg.max_drain_cycles = 4_000;
+    cfg.seed = 48;
+    cfg.crossbar_input_limit = crossbar_input_limit;
+    let traffic = TrafficSpec::uniform(
+        &mesh,
+        Schedule::per_kilocycle(48.0),
+        Schedule::per_kilocycle(7.2),
+    );
+    Network::new(cfg, traffic).expect("valid config")
+}
+
+/// `pinned_stall_counters_small_scenarios` goldens, captured on the
+/// full-scan allocator: per-router switch, VC and credit stalls, and the
+/// `vc_occupancy` fingerprint, for the Bernoulli and geometric scenarios.
+const GOLDEN_SMALL_SWITCH: [u64; 16] = [
+    461, 619, 809, 946, 790, 1139, 1203, 1947, 957, 1290, 1468, 2693, 418, 759, 1014, 680,
+];
+const GOLDEN_SMALL_VC: [u64; 16] = [0; 16];
+const GOLDEN_SMALL_CREDIT: [u64; 16] = [0, 0, 0, 0, 3, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0];
+const GOLDEN_SMALL_OCC: (u64, u64) = (40_152, 1_988_974);
+const GOLDEN_GEOM_SWITCH: [u64; 16] = [
+    462, 760, 937, 1036, 1092, 1299, 1290, 2071, 1131, 1402, 1579, 2727, 668, 966, 936, 728,
+];
+const GOLDEN_GEOM_VC: [u64; 16] = [0; 16];
+const GOLDEN_GEOM_CREDIT: [u64; 16] = [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0];
+const GOLDEN_GEOM_OCC: (u64, u64) = (42_807, 2_092_729);
+
+/// `pinned_stall_counters_saturated_8x8` goldens, captured on the
+/// full-scan allocator: `(crossbar_input_limit, link traversals, switch,
+/// VC, credit, occupancy)`, each counter as its [`fingerprint`].
+type SaturatedGolden = (bool, u64, (u64, u64), (u64, u64), (u64, u64), (u64, u64));
+const GOLDEN_SATURATED: [SaturatedGolden; 2] = [
+    (
+        true,
+        61_890,
+        (159_659, 5_316_873),
+        (61, 2_196),
+        (332, 11_693),
+        (278_151, 54_040_081),
+    ),
+    (
+        false,
+        61_890,
+        (0, 0),
+        (50, 1_825),
+        (313, 10_682),
+        (271_522, 52_716_191),
+    ),
+];
+
+/// Per-router stall counters and buffer-occupancy integrals, pinned on
+/// the full-scan switch allocator (every occupied slot visited per output
+/// port). Any faster arbitration scan must reproduce them exactly: the
+/// counters are observer state, so they are the only witness that the
+/// probed path still visits — and charges — the same slots.
+#[test]
+fn pinned_stall_counters_small_scenarios() {
+    let (r, heat) = probed_heatmap(small_scenario_network());
+    assert_eq!(r.network.link_flit_traversals, 9_592);
+    assert_eq!(heat.switch_stalls, GOLDEN_SMALL_SWITCH);
+    assert_eq!(heat.vc_stalls, GOLDEN_SMALL_VC);
+    assert_eq!(heat.credit_stalls, GOLDEN_SMALL_CREDIT);
+    assert_eq!(fingerprint(&heat.vc_occupancy), GOLDEN_SMALL_OCC);
+
+    let (r, heat) = probed_heatmap(geometric_small_scenario_network());
+    assert_eq!(r.network.link_flit_traversals, 10_325);
+    assert_eq!(heat.switch_stalls, GOLDEN_GEOM_SWITCH);
+    assert_eq!(heat.vc_stalls, GOLDEN_GEOM_VC);
+    assert_eq!(heat.credit_stalls, GOLDEN_GEOM_CREDIT);
+    assert_eq!(fingerprint(&heat.vc_occupancy), GOLDEN_GEOM_OCC);
+}
+
+/// The same pin on a saturated 8×8 mesh, where every stall kind fires
+/// often, with the crossbar input limit on (switch stalls counted) and
+/// off (switch stalls impossible, more pops per router and cycle).
+#[test]
+fn pinned_stall_counters_saturated_8x8() {
+    for (limit, link, switch, vc, credit, occ) in GOLDEN_SATURATED {
+        let (r, heat) = probed_heatmap(saturated_8x8_network(limit));
+        assert_eq!(r.network.link_flit_traversals, link, "limit={limit}");
+        assert_eq!(heat.total_link_flits(), link, "limit={limit}");
+        assert_eq!(fingerprint(&heat.switch_stalls), switch, "limit={limit}");
+        assert_eq!(fingerprint(&heat.vc_stalls), vc, "limit={limit}");
+        assert_eq!(fingerprint(&heat.credit_stalls), credit, "limit={limit}");
+        assert_eq!(fingerprint(&heat.vc_occupancy), occ, "limit={limit}");
+        assert!(r.semantic_eq(&saturated_8x8_network(limit).run()));
+    }
+}
+
+/// One corner of the router's configuration space on a 4×4 chip with
+/// mixed-class traffic from every tile: pipeline depth, crossbar input
+/// limit, topology + routing, buffer depth and VC count.
+#[derive(Debug, Clone, Copy)]
+struct Corner {
+    stages: u64,
+    limit: bool,
+    torus_yx: bool,
+    depth: usize,
+    vcs: usize,
+    rate: f64,
+    seed: u64,
+}
+
+fn corner_network(c: Corner) -> Network {
+    let mesh = Mesh::square(4);
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    cfg.router_stages = c.stages;
+    cfg.crossbar_input_limit = c.limit;
+    if c.torus_yx {
+        cfg.topology = Topology::Torus;
+        cfg.routing = RoutingKind::Yx;
+    }
+    cfg.buffer_depth = c.depth;
+    cfg.vcs_per_class = c.vcs;
+    cfg.warmup_cycles = 100;
+    cfg.measure_cycles = 1_000;
+    cfg.max_drain_cycles = 20_000;
+    cfg.seed = c.seed;
+    let sources: Vec<SourceSpec> = mesh
+        .tiles()
+        .map(|t| SourceSpec {
+            tile: t,
+            group: t.index() % 2,
+            cache: Schedule::Constant(c.rate),
+            mem: Schedule::Constant(c.rate * 0.2),
+        })
+        .collect();
+    let traffic = TrafficSpec::new(sources, 2).expect("valid traffic");
+    Network::new(cfg, traffic).expect("valid config")
+}
+
+/// Corner goldens captured on the full-scan allocator: zero-stage
+/// routers (a popped slot's next flit may be switch-ready in the same
+/// cycle), no crossbar input limit (one slot may win several outputs per
+/// cycle), torus/YX and one-flit buffers. Per corner: link traversals,
+/// total measured latency, then switch/VC/credit stall and occupancy
+/// fingerprints.
+type CornerGolden = (Corner, u64, f64, [(u64, u64); 4]);
+const GOLDEN_CORNERS: [CornerGolden; 5] = [
+    (
+        Corner {
+            stages: 0,
+            limit: false,
+            torus_yx: true,
+            depth: 1,
+            vcs: 1,
+            rate: 0.03,
+            seed: 3,
+        },
+        3_479,
+        4_420.0,
+        [(0, 0), (243, 1_914), (1_466, 12_228), (5_252, 80_177)],
+    ),
+    (
+        Corner {
+            stages: 0,
+            limit: true,
+            torus_yx: false,
+            depth: 1,
+            vcs: 2,
+            rate: 0.03,
+            seed: 4,
+        },
+        3_905,
+        3_979.0,
+        [(195, 1_835), (7, 59), (1_120, 9_202), (5_252, 164_540)],
+    ),
+    (
+        Corner {
+            stages: 0,
+            limit: false,
+            torus_yx: false,
+            depth: 3,
+            vcs: 3,
+            rate: 0.05,
+            seed: 5,
+        },
+        7_125,
+        5_692.0,
+        [(0, 0), (0, 0), (52, 362), (9_138, 415_332)],
+    ),
+    (
+        Corner {
+            stages: 1,
+            limit: false,
+            torus_yx: true,
+            depth: 2,
+            vcs: 2,
+            rate: 0.04,
+            seed: 6,
+        },
+        4_447,
+        5_620.0,
+        [(0, 0), (9, 87), (574, 4_784), (10_515, 332_509)],
+    ),
+    (
+        Corner {
+            stages: 2,
+            limit: true,
+            torus_yx: true,
+            depth: 1,
+            vcs: 1,
+            rate: 0.02,
+            seed: 7,
+        },
+        2_413,
+        6_715.0,
+        [(72, 609), (499, 4_020), (870, 7_508), (8_655, 140_478)],
+    ),
+];
+
+#[test]
+fn pinned_stall_counters_router_corners() {
+    for (corner, link, latency, stalls) in GOLDEN_CORNERS {
+        let (r, heat) = probed_heatmap(corner_network(corner));
+        assert!(r.fully_drained, "{corner:?}");
+        assert_eq!(r.network.link_flit_traversals, link, "{corner:?}");
+        assert_eq!(
+            r.cache.total_latency + r.memory.total_latency,
+            latency,
+            "{corner:?}"
+        );
+        let got = [
+            fingerprint(&heat.switch_stalls),
+            fingerprint(&heat.vc_stalls),
+            fingerprint(&heat.credit_stalls),
+            fingerprint(&heat.vc_occupancy),
+        ];
+        assert_eq!(got, stalls, "{corner:?}");
+        assert!(r.semantic_eq(&corner_network(corner).run()), "{corner:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The probed run shares the plain run's arbitration scan, so across
+    /// the router's corner space it must stay semantically identical and
+    /// its heatmap must conserve every link traversal. Torus corners may
+    /// deadlock (dimension-order wormhole routing without a dateline VC);
+    /// the drain budget bounds them and both runs must still agree.
+    #[test]
+    fn probed_run_matches_plain_in_every_router_corner(
+        stages in 0u64..=3,
+        limit in any::<bool>(),
+        torus_yx in any::<bool>(),
+        depth in 1usize..=5,
+        vcs in 1usize..=3,
+        rate in 0.002f64..0.06,
+        seed in any::<u64>(),
+    ) {
+        let c = Corner { stages, limit, torus_yx, depth, vcs, rate, seed };
+        let plain = corner_network(c).run();
+        let (probed, heat) = probed_heatmap(corner_network(c));
+        prop_assert!(probed.semantic_eq(&plain), "probed run diverged: {:?}", c);
+        prop_assert_eq!(heat.total_link_flits(), plain.network.link_flit_traversals);
+        if !limit {
+            prop_assert_eq!(heat.switch_stalls.iter().sum::<u64>(), 0);
+        }
     }
 }
 
