@@ -16,7 +16,9 @@ use obm_core::algorithms::{
     BalancedGreedy, BranchAndBound, Global, HybridSssSa, Mapper, MonteCarlo, RandomMapper,
     SimulatedAnnealing, SortSelectSwap,
 };
-use obm_core::{evaluate, Mapping, ObjectiveSpec, ObmInstance, PlacementOptions, SearchMode};
+use obm_core::{
+    evaluate, Mapping, MappingError, ObjectiveSpec, ObmInstance, PlacementOptions, SearchMode,
+};
 use obm_portfolio::{Algorithm, Checkpoint, SolveBudget, SolveRequest};
 use workload::{PaperConfig, WorkloadBuilder};
 
@@ -208,14 +210,11 @@ pub fn eval_command(
             inst.num_threads()
         ));
     }
-    let mut seen = vec![false; inst.num_tiles()];
-    for &t in &tiles {
-        if seen[t.index()] {
-            return Err(format!("tile {} assigned twice", t.to_paper()));
-        }
-        seen[t.index()] = true;
-    }
-    let mapping = Mapping::new(tiles);
+    let mapping = Mapping::try_new(tiles, inst.num_tiles()).map_err(|e| match e {
+        // Report in the paper's 1-based numbering, like the input.
+        MappingError::RepeatedTile { tile } => format!("tile {} assigned twice", tile.to_paper()),
+        e => e.to_string(),
+    })?;
     Ok(format!(
         "{}{}",
         report_block(&spec, &inst, &mapping),
@@ -1076,13 +1075,15 @@ thread 8.5 1.3
 
     #[test]
     fn eval_rejects_bad_mappings() {
-        assert!(eval_command(
-            SPEC,
-            "1\n1\n2\n3\n4\n5\n6\n7\n",
-            "apl",
-            LayoutFlags::default()
-        )
-        .is_err()); // dup
+        assert_eq!(
+            eval_command(
+                SPEC,
+                "1\n1\n2\n3\n4\n5\n6\n7\n",
+                "apl",
+                LayoutFlags::default()
+            ),
+            Err("tile 1 assigned twice".to_string())
+        ); // dup
         assert!(eval_command(SPEC, "1\n2\n3\n", "apl", LayoutFlags::default()).is_err()); // too few
         assert!(eval_command(
             SPEC,

@@ -94,7 +94,7 @@ impl Mapper for HybridSssSa {
                 cur = cand;
                 if cur < best {
                     best = cur;
-                    best_mapping = ev.mapping().clone();
+                    best_mapping.clone_from(ev.mapping());
                 }
             } else {
                 ev.swap_tiles(a, b);

@@ -7,7 +7,8 @@
 //! min — following the data-parallel idiom of the workspace's HPC guides
 //! (no shared mutable state, deterministic given the seed).
 
-use crate::algorithms::{random::RandomMapper, BudgetError, Mapper};
+use crate::algorithms::random::{DrawScratch, RandomMapper};
+use crate::algorithms::{BudgetError, Mapper};
 use crate::cancel::CancelToken;
 use crate::problem::{Mapping, ObmInstance};
 use noc_telemetry::{NoopSink, Probe};
@@ -81,10 +82,13 @@ impl MonteCarlo {
         // Draws are batched at the cancellation-poll cadence and scored
         // through the batch evaluator's objective kernel: the RNG stream,
         // poll points, best-keeping order, and objective bits all match
-        // the old one-draw-one-evaluate loop exactly.
+        // the old one-draw-one-evaluate loop exactly. The pool's mappings
+        // are redrawn in place and the incumbent is copied into its own
+        // buffer, so the loop allocates nothing after the first batch.
         let mut rng = SmallRng::seed_from_u64(seed);
         let be = crate::batch::BatchEvaluator::new(inst);
         let mut best: Option<(f64, Mapping)> = None;
+        let mut scratch = DrawScratch::default();
         let mut pool: Vec<Mapping> = Vec::with_capacity(CANCEL_POLL_MASK + 1);
         let mut objs: Vec<f64> = Vec::with_capacity(CANCEL_POLL_MASK + 1);
         let mut drawn = 0;
@@ -93,13 +97,20 @@ impl MonteCarlo {
                 return None;
             }
             let quota = (samples - drawn).min(CANCEL_POLL_MASK + 1);
-            pool.clear();
-            pool.extend((0..quota).map(|_| RandomMapper::draw(inst, &mut rng)));
+            pool.resize_with(quota, || Mapping::identity(0));
+            for m in &mut pool {
+                RandomMapper::draw_into(inst, &mut rng, &mut scratch, m);
+            }
             objs.clear();
             be.objectives_into(&pool, &mut objs);
             for (m, &v) in pool.iter().zip(&objs) {
-                if best.as_ref().is_none_or(|(b, _)| v < *b) {
-                    best = Some((v, m.clone()));
+                match &mut best {
+                    Some((b, bm)) if v < *b => {
+                        *b = v;
+                        bm.clone_from(m);
+                    }
+                    Some(_) => {}
+                    None => best = Some((v, m.clone())),
                 }
             }
             drawn += quota;

@@ -19,7 +19,7 @@ pub use global::Global;
 pub use greedy::BalancedGreedy;
 pub use hybrid::HybridSssSa;
 pub use mc::MonteCarlo;
-pub use random::RandomMapper;
+pub use random::{DrawScratch, RandomMapper};
 pub use sa::SimulatedAnnealing;
 pub use sss::SortSelectSwap;
 

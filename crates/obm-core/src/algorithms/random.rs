@@ -12,14 +12,44 @@ use rand::SeedableRng;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomMapper;
 
+/// Reusable buffers for [`RandomMapper::draw_into`]: the shuffled tile
+/// list and the duplicate check's seen-flags.
+#[derive(Debug, Clone, Default)]
+pub struct DrawScratch {
+    tiles: Vec<TileId>,
+    seen: Vec<bool>,
+}
+
 impl RandomMapper {
     /// Draw a random mapping using an existing RNG (used by Monte-Carlo
     /// and simulated annealing for their initial states).
     pub fn draw(inst: &ObmInstance, rng: &mut SmallRng) -> Mapping {
-        let mut tiles: Vec<TileId> = (0..inst.num_tiles()).map(TileId).collect();
-        tiles.shuffle(rng);
-        tiles.truncate(inst.num_threads());
-        Mapping::new(tiles)
+        let mut out = Mapping::identity(0);
+        RandomMapper::draw_into(inst, rng, &mut DrawScratch::default(), &mut out);
+        out
+    }
+
+    /// [`draw`](Self::draw) into an existing mapping, reusing its buffer
+    /// and `scratch`: no allocation once both have grown to the
+    /// instance's size. Consumes exactly the RNG draws `draw` does and
+    /// yields the same mapping.
+    ///
+    /// # Panics
+    /// Panics if the drawn assignment repeats a tile (a broken shuffle).
+    pub fn draw_into(
+        inst: &ObmInstance,
+        rng: &mut SmallRng,
+        scratch: &mut DrawScratch,
+        out: &mut Mapping,
+    ) {
+        let n = inst.num_tiles();
+        scratch.tiles.clear();
+        scratch.tiles.extend((0..n).map(TileId));
+        scratch.tiles.shuffle(rng);
+        let drawn = &scratch.tiles[..inst.num_threads()];
+        if let Err(e) = out.refill(drawn, n, &mut scratch.seen) {
+            panic!("RandomMapper::draw_into: {e}");
+        }
     }
 
     /// Estimate the random-mapping averages (g-APL, max-APL, dev-APL) over
@@ -52,8 +82,13 @@ impl RandomMapper {
         // Draw the whole population up front and score it through the
         // batch evaluator (same draws, same report bits as the old
         // one-evaluate-per-draw loop).
+        let mut scratch = DrawScratch::default();
         let pool: Vec<Mapping> = (0..samples)
-            .map(|_| RandomMapper::draw(inst, &mut rng))
+            .map(|_| {
+                let mut m = Mapping::identity(0);
+                RandomMapper::draw_into(inst, &mut rng, &mut scratch, &mut m);
+                m
+            })
             .collect();
         let be = crate::batch::BatchEvaluator::new(inst);
         let reports = be.eval_many_parallel(&pool, workers);

@@ -193,7 +193,7 @@ impl Mapper for SimulatedAnnealing {
                 accepted_since_last += 1;
                 if cur < best {
                     best = cur;
-                    best_mapping = ev.mapping().clone();
+                    best_mapping.clone_from(ev.mapping());
                 }
             } else {
                 ev.swap_tiles(a, b); // revert

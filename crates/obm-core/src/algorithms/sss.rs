@@ -19,13 +19,14 @@
 //! are configurable so the ablation benches can quantify each design
 //! choice; the defaults are exactly the paper's.
 
-use crate::algorithms::Mapper;
+use crate::algorithms::{Mapper, PERMS4};
 use crate::cancel::CancelToken;
 use crate::eval::IncrementalEvaluator;
 use crate::problem::{Mapping, ObmInstance};
 use crate::sam::solve_sam;
 use noc_model::TileId;
 use noc_telemetry::{NoopSink, Probe, SolverEvent};
+use std::borrow::Cow;
 
 /// Window positions between [`CancelToken`] polls inside a step-size pass
 /// (power of two: mask test). Each position tries up to 24 permutations,
@@ -130,7 +131,7 @@ impl Mapper for SortSelectSwap {
         if self.window >= 2 {
             let enabled = probe.is_enabled();
             let n = sorted.len();
-            let perms = permutations(self.window);
+            let (perms, inverses) = window_permutations(self.window);
             let max_step = self.max_step.unwrap_or(n / self.window).max(1);
             let mut window_tiles = vec![TileId(0); self.window];
             for s in 1..=max_step {
@@ -146,7 +147,8 @@ impl Mapper for SortSelectSwap {
                     for (t, wt) in window_tiles.iter_mut().enumerate() {
                         *wt = sorted[start + t * s];
                     }
-                    let accepted = best_window_permutation(&mut ev, &window_tiles, &perms);
+                    let accepted =
+                        best_window_permutation(&mut ev, &window_tiles, &perms, &inverses);
                     if enabled {
                         if let Some((objective, delta)) = accepted {
                             probe.on_solver_event(&SolverEvent::SwapAccepted {
@@ -227,56 +229,62 @@ fn remove_indices(v: &mut Vec<TileId>, indices: &[usize]) {
 }
 
 /// Try every permutation of the window occupants; keep the best (the
-/// identity wins ties, so the search never churns). Returns
+/// identity wins ties, so the search never churns). `perms` and
+/// `inverses` are the flat tables of [`window_permutations`]. Returns
 /// `Some((new objective, objective delta))` when a non-identity
 /// permutation was kept, `None` otherwise.
 fn best_window_permutation(
     ev: &mut IncrementalEvaluator<'_>,
     tiles: &[TileId],
-    perms: &[Vec<usize>],
+    perms: &[usize],
+    inverses: &[usize],
 ) -> Option<(f64, f64)> {
+    let w = tiles.len();
     let start_val = ev.max_apl();
     let mut best_val = start_val;
     let mut best_perm: Option<&[usize]> = None;
-    for perm in perms.iter().skip(1) {
-        // skip the identity (index 0)
+    // skip the identity (row 0)
+    for (perm, inverse) in perms.chunks_exact(w).zip(inverses.chunks_exact(w)).skip(1) {
         ev.apply_window_permutation(tiles, perm);
         let val = ev.max_apl();
         if val + 1e-12 < best_val {
             best_val = val;
             best_perm = Some(perm);
         }
-        // revert
-        ev.apply_window_permutation(tiles, &invert(perm));
+        ev.apply_window_permutation(tiles, inverse); // revert
     }
     let perm = best_perm?;
     ev.apply_window_permutation(tiles, perm);
     Some((best_val, best_val - start_val))
 }
 
-/// Inverse permutation `q` with `p[q[s]] = s`.
-fn invert(p: &[usize]) -> Vec<usize> {
-    let mut q = vec![0; p.len()];
-    for (x, &px) in p.iter().enumerate() {
-        q[px] = x;
+/// The `w!` permutations of a window's slots, identity first, and row for
+/// row their inverses (`q` with `p[q[s]] = s`), flattened row-major with
+/// `w` entries per row. The paper's window size borrows the compile-time
+/// permutation table; other sizes are enumerated once per solve.
+fn window_permutations(w: usize) -> (Cow<'static, [usize]>, Vec<usize>) {
+    let perms = if w == 4 {
+        Cow::Borrowed(PERMS4.as_flattened())
+    } else {
+        Cow::Owned(enumerate_permutations(w))
+    };
+    let mut inverses = vec![0; perms.len()];
+    for (p, q) in perms.chunks_exact(w).zip(inverses.chunks_exact_mut(w)) {
+        for (x, &px) in p.iter().enumerate() {
+            q[px] = x;
+        }
     }
-    q
+    (perms, inverses)
 }
 
-/// All permutations of `0..w` with the identity first. The paper's window
-/// size (4) uses the precomputed table.
-fn permutations(w: usize) -> Vec<Vec<usize>> {
-    if w == 4 {
-        return crate::algorithms::PERMS4
-            .iter()
-            .map(|p| p.to_vec())
-            .collect();
-    }
-    let mut out = Vec::new();
+/// All permutations of `0..w` in lexicographic order (identity first),
+/// flattened row-major.
+fn enumerate_permutations(w: usize) -> Vec<usize> {
+    let mut rows = Vec::new();
     let mut items: Vec<usize> = (0..w).collect();
-    heap_permute(&mut items, w, &mut out);
-    out.sort(); // lexicographic ⇒ identity first
-    out
+    heap_permute(&mut items, w, &mut rows);
+    rows.sort();
+    rows.concat()
 }
 
 fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
@@ -444,28 +452,29 @@ mod tests {
     }
 
     #[test]
-    fn permutations_counts() {
-        assert_eq!(permutations(1).len(), 1);
-        assert_eq!(permutations(2).len(), 2);
-        assert_eq!(permutations(4).len(), 24);
-        assert_eq!(permutations(5).len(), 120);
-        assert_eq!(permutations(4)[0], vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn permutations_match_const_table() {
-        let dynamic = permutations(4);
-        for (a, b) in dynamic.iter().zip(crate::algorithms::PERMS4.iter()) {
-            assert_eq!(a.as_slice(), b.as_slice());
+    fn permutation_table_sizes() {
+        for (w, count) in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)] {
+            let (perms, inverses) = window_permutations(w);
+            assert_eq!(perms.len(), count * w, "window {w}");
+            assert_eq!(inverses.len(), count * w, "window {w}");
+            assert_eq!(&perms[..w], (0..w).collect::<Vec<_>>(), "identity first");
         }
     }
 
     #[test]
-    fn invert_roundtrip() {
-        let p = vec![2usize, 0, 3, 1];
-        let q = invert(&p);
-        for s in 0..4 {
-            assert_eq!(p[q[s]], s);
+    fn enumerated_perms4_match_const_table() {
+        assert_eq!(enumerate_permutations(4), PERMS4.as_flattened());
+    }
+
+    #[test]
+    fn inverse_rows_invert() {
+        for w in 1..=6 {
+            let (perms, inverses) = window_permutations(w);
+            for (p, q) in perms.chunks_exact(w).zip(inverses.chunks_exact(w)) {
+                for s in 0..w {
+                    assert_eq!(p[q[s]], s, "window {w}: {q:?} does not invert {p:?}");
+                }
+            }
         }
     }
 

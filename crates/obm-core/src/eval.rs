@@ -92,6 +92,9 @@ pub struct IncrementalEvaluator<'a> {
     /// Count of effective edits (moves, swaps, window permutations) since
     /// construction — exposed for solver telemetry.
     edits: u64,
+    /// Reused staging buffer for window occupants, so a window
+    /// permutation allocates nothing once it has grown to the window.
+    window_scratch: Vec<Option<usize>>,
 }
 
 impl<'a> IncrementalEvaluator<'a> {
@@ -114,6 +117,7 @@ impl<'a> IncrementalEvaluator<'a> {
             inverse,
             app_num,
             edits: 0,
+            window_scratch: Vec::new(),
         }
     }
 
@@ -240,27 +244,26 @@ impl<'a> IncrementalEvaluator<'a> {
     /// `tiles[s]`. Used by the sliding-window search.
     pub fn apply_window_permutation(&mut self, tiles: &[TileId], perm: &[usize]) {
         debug_assert_eq!(tiles.len(), perm.len());
-        let occupants: Vec<Option<usize>> = perm
-            .iter()
-            .map(|&p| self.inverse[tiles[p].index()])
-            .collect();
+        let mut occupants = std::mem::take(&mut self.window_scratch);
+        occupants.clear();
+        occupants.extend(tiles.iter().map(|t| self.inverse[t.index()]));
         // Detach all first to avoid transient duplicate occupancy.
-        for &t in tiles {
-            if let Some(j) = self.inverse[t.index()] {
+        for (&occ, &t) in occupants.iter().zip(tiles) {
+            if let Some(j) = occ {
                 let app = self.tables.app_of(j);
                 self.app_num[app] -= self.tables.cost(j, t.index());
                 self.inverse[t.index()] = None;
             }
         }
-        for (s, occ) in occupants.iter().enumerate() {
-            if let Some(j) = *occ {
-                let t = tiles[s];
+        for (&t, &p) in tiles.iter().zip(perm) {
+            if let Some(j) = occupants[p] {
                 let app = self.tables.app_of(j);
                 self.app_num[app] += self.tables.cost(j, t.index());
                 self.inverse[t.index()] = Some(j);
                 self.mapping.set_tile(j, t);
             }
         }
+        self.window_scratch = occupants;
         self.edits += 1;
     }
 }

@@ -93,7 +93,7 @@ pub use objective::{
 pub use placement::{
     co_optimize, sss_inner, PlacementOptions, PlacementOutcome, PlacementSearchError, SearchMode,
 };
-pub use problem::{Mapping, ObmInstance};
+pub use problem::{Mapping, MappingError, ObmInstance};
 pub use refine::{polish, Polished};
 pub use remap::{RemapConfig, RemapController, RemapError, RemapEvent};
 pub use sam::{solve_sam, SamSolution};

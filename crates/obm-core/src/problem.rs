@@ -250,32 +250,123 @@ impl ObmInstance {
     }
 }
 
+/// Why an assignment vector is not an injective mapping onto a chip's
+/// tiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MappingError {
+    /// Thread `thread` sits on `tile`, outside the chip's `num_tiles`
+    /// tiles.
+    TileOutOfRange {
+        thread: usize,
+        tile: TileId,
+        num_tiles: usize,
+    },
+    /// `tile` is assigned to more than one thread.
+    RepeatedTile { tile: TileId },
+}
+
+impl std::fmt::Display for MappingError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            MappingError::TileOutOfRange {
+                thread,
+                tile,
+                num_tiles,
+            } => write!(
+                f,
+                "thread {thread} on tile {} out of range 0..{num_tiles}",
+                tile.index()
+            ),
+            MappingError::RepeatedTile { tile } => {
+                write!(f, "tile {} assigned twice", tile.index())
+            }
+        }
+    }
+}
+
+impl std::error::Error for MappingError {}
+
+/// Check that `tiles` is an injective assignment into `0..num_tiles`,
+/// using `seen` as recycled scratch.
+fn check_tiles(
+    tiles: &[TileId],
+    num_tiles: usize,
+    seen: &mut Vec<bool>,
+) -> Result<(), MappingError> {
+    seen.clear();
+    seen.resize(num_tiles, false);
+    for (thread, &tile) in tiles.iter().enumerate() {
+        let Some(slot) = seen.get_mut(tile.index()) else {
+            return Err(MappingError::TileOutOfRange {
+                thread,
+                tile,
+                num_tiles,
+            });
+        };
+        if *slot {
+            return Err(MappingError::RepeatedTile { tile });
+        }
+        *slot = true;
+    }
+    Ok(())
+}
+
 /// A thread-to-tile mapping `π(j) = k` — an injective assignment of every
 /// thread to a tile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mapping {
     thread_to_tile: Vec<TileId>,
+}
+
+// Hand-written so `clone_from` reuses the destination's buffer: solvers
+// copy each new incumbent into one kept mapping.
+impl Clone for Mapping {
+    fn clone(&self) -> Self {
+        Mapping {
+            thread_to_tile: self.thread_to_tile.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.thread_to_tile.clone_from(&source.thread_to_tile);
+    }
 }
 
 impl Mapping {
     /// Build from an explicit assignment vector.
     ///
     /// # Panics
-    /// Panics if two threads share a tile.
+    /// Panics if two threads share a tile; [`try_new`](Self::try_new) is
+    /// the fallible twin that also checks the tile range.
     pub fn new(thread_to_tile: Vec<TileId>) -> Self {
-        let mut seen = vec![
-            false;
-            thread_to_tile
-                .iter()
-                .map(|t| t.index())
-                .max()
-                .map_or(0, |m| m + 1)
-        ];
-        for &t in &thread_to_tile {
-            assert!(!seen[t.index()], "tile {} assigned twice", t.index());
-            seen[t.index()] = true;
-        }
-        Mapping { thread_to_tile }
+        let num_tiles = thread_to_tile
+            .iter()
+            .map(|t| t.index())
+            .max()
+            .map_or(0, |m| m + 1);
+        Self::try_new(thread_to_tile, num_tiles).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build from an assignment vector over a chip of `num_tiles` tiles,
+    /// rejecting out-of-range and repeated tiles with a typed error.
+    pub fn try_new(thread_to_tile: Vec<TileId>, num_tiles: usize) -> Result<Self, MappingError> {
+        check_tiles(&thread_to_tile, num_tiles, &mut Vec::new())?;
+        Ok(Mapping { thread_to_tile })
+    }
+
+    /// Overwrite this mapping with `tiles` in place, reusing its buffer
+    /// (`seen` is the check's recycled scratch). On error the mapping is
+    /// left unchanged.
+    pub(crate) fn refill(
+        &mut self,
+        tiles: &[TileId],
+        num_tiles: usize,
+        seen: &mut Vec<bool>,
+    ) -> Result<(), MappingError> {
+        check_tiles(tiles, num_tiles, seen)?;
+        self.thread_to_tile.clear();
+        self.thread_to_tile.extend_from_slice(tiles);
+        Ok(())
     }
 
     /// The identity mapping: thread `j` on tile `j`.
@@ -327,17 +418,8 @@ impl Mapping {
 
     /// Check injectivity and range against an instance.
     pub fn is_valid_for(&self, inst: &ObmInstance) -> bool {
-        if self.thread_to_tile.len() != inst.num_threads() {
-            return false;
-        }
-        let mut seen = vec![false; inst.num_tiles()];
-        for &t in &self.thread_to_tile {
-            if t.index() >= inst.num_tiles() || seen[t.index()] {
-                return false;
-            }
-            seen[t.index()] = true;
-        }
-        true
+        self.thread_to_tile.len() == inst.num_threads()
+            && check_tiles(&self.thread_to_tile, inst.num_tiles(), &mut Vec::new()).is_ok()
     }
 }
 
@@ -383,9 +465,48 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "tile 0 assigned twice")]
     fn duplicate_tile_panics() {
         let _ = Mapping::new(vec![TileId(0), TileId(0)]);
+    }
+
+    #[test]
+    fn try_new_rejects_range_and_repeats() {
+        let ok = Mapping::try_new(vec![TileId(2), TileId(0)], 3).expect("valid");
+        assert_eq!(ok.as_slice(), &[TileId(2), TileId(0)]);
+        assert_eq!(
+            Mapping::try_new(vec![TileId(0), TileId(3)], 3),
+            Err(MappingError::TileOutOfRange {
+                thread: 1,
+                tile: TileId(3),
+                num_tiles: 3
+            })
+        );
+        assert_eq!(
+            Mapping::try_new(vec![TileId(1), TileId(1)], 3),
+            Err(MappingError::RepeatedTile { tile: TileId(1) })
+        );
+    }
+
+    #[test]
+    fn refill_reuses_the_buffer_and_keeps_bad_input_out() {
+        let mut m = Mapping::identity(4);
+        let mut seen = Vec::new();
+        let before = m.as_slice().as_ptr();
+        m.refill(&[TileId(3), TileId(1)], 4, &mut seen)
+            .expect("valid");
+        assert_eq!(m.as_slice(), &[TileId(3), TileId(1)]);
+        assert_eq!(m.as_slice().as_ptr(), before, "buffer reallocated");
+        assert!(m.refill(&[TileId(2), TileId(2)], 4, &mut seen).is_err());
+        assert_eq!(m.as_slice(), &[TileId(3), TileId(1)]);
+    }
+
+    #[test]
+    fn clone_from_matches_clone() {
+        let src = Mapping::new(vec![TileId(5), TileId(2), TileId(7)]);
+        let mut dst = Mapping::identity(8);
+        dst.clone_from(&src);
+        assert_eq!(dst, src.clone());
     }
 
     #[test]

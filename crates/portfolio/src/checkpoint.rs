@@ -242,14 +242,13 @@ impl Fingerprint {
 }
 
 /// Convert a checkpointed mapping back into a [`Mapping`], rejecting
-/// out-of-range tile indices.
+/// out-of-range and repeated tile indices.
 pub(crate) fn mapping_from_tiles(tiles: &[usize], num_tiles: usize) -> Option<Mapping> {
-    if tiles.iter().any(|&k| k >= num_tiles) {
-        return None;
-    }
-    Some(Mapping::new(
+    Mapping::try_new(
         tiles.iter().map(|&k| noc_model::TileId(k)).collect(),
-    ))
+        num_tiles,
+    )
+    .ok()
 }
 
 #[cfg(test)]
@@ -331,5 +330,11 @@ mod tests {
     fn mapping_from_tiles_rejects_out_of_range() {
         assert!(mapping_from_tiles(&[0, 1, 2], 3).is_some());
         assert!(mapping_from_tiles(&[0, 3], 3).is_none());
+    }
+
+    #[test]
+    fn mapping_from_tiles_rejects_repeated_tiles() {
+        assert!(mapping_from_tiles(&[2, 0, 1], 3).is_some());
+        assert!(mapping_from_tiles(&[1, 0, 1], 3).is_none());
     }
 }

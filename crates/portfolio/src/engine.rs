@@ -809,6 +809,31 @@ mod tests {
     }
 
     #[test]
+    fn malformed_checkpoint_entries_are_rerun() {
+        let inst = fig5_instance();
+        let build = || {
+            SolveRequest::builder(&inst)
+                .algorithms(quick_lineup())
+                .seed(7)
+        };
+        let first = build().build().expect("valid").solve();
+        let mut cp = first.checkpoint.clone();
+        // Entry 0 repeats a tile, entry 1 names a tile off the chip; the
+        // rest stay intact.
+        cp.completed[0].mapping[1] = cp.completed[0].mapping[0];
+        cp.completed[1].mapping[0] = inst.num_tiles();
+        let bad = [cp.completed[0].task, cp.completed[1].task];
+        let resumed = build().resume(cp).build().expect("valid").solve();
+        assert!(!resumed.resume_rejected);
+        assert_eq!(resumed.termination, Termination::Completed);
+        for s in &resumed.stats {
+            assert_eq!(s.resumed, !bad.contains(&s.task), "task {}", s.task);
+        }
+        assert_eq!(resumed.mapping.as_slice(), first.mapping.as_slice());
+        assert_eq!(resumed.objective.to_bits(), first.objective.to_bits());
+    }
+
+    #[test]
     fn mismatched_checkpoint_is_rejected_and_rerun() {
         let inst = fig5_instance();
         let first = SolveRequest::builder(&inst)

@@ -13,7 +13,9 @@
 #   4. examples         — every example must build *and* run to completion
 #   5. determinism      — the portfolio engine's worker-count-invariance
 #                         suite, the batch-evaluation suite (eval_many ≡
-#                         scratch evaluate bitwise + pinned solver goldens),
+#                         scratch evaluate bitwise + pinned solver goldens,
+#                         plus the goldens for SSS windows 2/3/5/6, MC on
+#                         spare tiles and 2 workers, SA restarts),
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection), the
 #                         online-remap controller's pinned decision
@@ -37,6 +39,10 @@
 #                         way: family grep on the Prometheus text and
 #                         byte-determinism across two same-seed runs
 #                         under OBM_METRICS_CLOCK=logical
+#   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
+#                         one of its mappings gets a repeated tile, and
+#                         `obm solve --resume` must exit 0, re-running
+#                         the damaged task and resuming the intact one
 #   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
 #                         BENCH_PR10.json` guards the simulator hot
 #                         loop: the disabled metrics path is priced by
@@ -113,6 +119,7 @@ echo "==> batch-evaluation determinism suite (release)"
 # goldens pinned to their pre-rewire bits — must hold under release
 # codegen (the autovectorized kernel is only emitted there).
 cargo test -q --release --test eval_batch
+cargo test -q --release --test solver_goldens
 
 echo "==> simulator determinism suite (release)"
 # The pinned golden SimReports — the default Bernoulli stream (unchanged
@@ -220,6 +227,23 @@ grep -q "2 snapshots merged" "$smokedir/status.txt" \
 grep -q "sim_cycles_total" "$smokedir/status.txt" \
     || { echo "obm status dashboard missing sim counters"; exit 1; }
 echo "--> metrics: deterministic logical-clock snapshots, status renders $(wc -l < "$smokedir/status.txt") lines"
+
+echo "==> CLI resume smoke: a damaged checkpoint entry is re-run"
+# A checkpoint mapping that repeats a tile must be rejected entry by
+# entry (typed Mapping::try_new) and re-run, never abort the solve.
+"$obm" solve "$smokedir/c1.spec" --algos sss,greedy --seeds 0 \
+    --checkpoint "$smokedir/cp.json" >/dev/null
+sed -E 's/"mapping":\[([0-9]+),[0-9]+/"mapping":[\1,\1/' "$smokedir/cp.json" \
+    > "$smokedir/cp_dup.json"
+! cmp -s "$smokedir/cp.json" "$smokedir/cp_dup.json" \
+    || { echo "resume smoke: failed to damage the checkpoint"; exit 1; }
+"$obm" solve "$smokedir/c1.spec" --algos sss,greedy --seeds 0 \
+    --resume "$smokedir/cp_dup.json" > "$smokedir/resume.txt" \
+    || { echo "obm solve --resume exited $? on a repeated-tile checkpoint"; exit 1; }
+resumed=$(grep -c '(resumed)' "$smokedir/resume.txt" || true)
+[[ "$resumed" -eq 1 ]] \
+    || { echo "resume smoke: expected 1 resumed task, got $resumed"; exit 1; }
+echo "--> resume: damaged entry re-ran, intact entry resumed"
 
 echo "==> bench snapshot regression gate (PR 9 -> PR 10)"
 # Compares the committed snapshots; raw ns/iter labels may not regress
