@@ -47,8 +47,9 @@ pub enum SelectionRule {
 /// The sort-select-swap mapper.
 #[derive(Debug, Clone, Copy)]
 pub struct SortSelectSwap {
-    /// Sliding-window size (paper: 4). 1 disables swapping; sizes up to 6
-    /// are supported (w! permutations are enumerated).
+    /// Sliding-window size (paper: 4). 1 disables swapping; sizes up to
+    /// [`IncrementalEvaluator::MAX_WINDOW`] (6) are supported (w!
+    /// permutations are enumerated).
     pub window: usize,
     /// Largest window step size; `None` = `N / window` (the paper's
     /// schedule `s = 1 .. N/4`).
@@ -92,9 +93,10 @@ impl Mapper for SortSelectSwap {
         probe: &mut dyn Probe,
     ) -> Option<Mapping> {
         assert!(
-            (1..=6).contains(&self.window),
-            "window size {} out of supported range 1..=6",
-            self.window
+            (1..=IncrementalEvaluator::MAX_WINDOW).contains(&self.window),
+            "window size {} out of supported range 1..={}",
+            self.window,
+            IncrementalEvaluator::MAX_WINDOW
         );
         // ---- Step 1: sort tiles by TC.
         if token.is_cancelled() {
@@ -131,7 +133,9 @@ impl Mapper for SortSelectSwap {
         if self.window >= 2 {
             let enabled = probe.is_enabled();
             let n = sorted.len();
-            let (perms, inverses) = window_permutations(self.window);
+            let perms = window_permutations(self.window);
+            // row 0, the identity, is the current arrangement
+            let candidates = &perms[self.window..];
             let max_step = self.max_step.unwrap_or(n / self.window).max(1);
             let mut window_tiles = vec![TileId(0); self.window];
             for s in 1..=max_step {
@@ -147,8 +151,7 @@ impl Mapper for SortSelectSwap {
                     for (t, wt) in window_tiles.iter_mut().enumerate() {
                         *wt = sorted[start + t * s];
                     }
-                    let accepted =
-                        best_window_permutation(&mut ev, &window_tiles, &perms, &inverses);
+                    let accepted = ev.best_window_permutation(&window_tiles, candidates);
                     if enabled {
                         if let Some((objective, delta)) = accepted {
                             probe.on_solver_event(&SolverEvent::SwapAccepted {
@@ -228,53 +231,16 @@ fn remove_indices(v: &mut Vec<TileId>, indices: &[usize]) {
     }
 }
 
-/// Try every permutation of the window occupants; keep the best (the
-/// identity wins ties, so the search never churns). `perms` and
-/// `inverses` are the flat tables of [`window_permutations`]. Returns
-/// `Some((new objective, objective delta))` when a non-identity
-/// permutation was kept, `None` otherwise.
-fn best_window_permutation(
-    ev: &mut IncrementalEvaluator<'_>,
-    tiles: &[TileId],
-    perms: &[usize],
-    inverses: &[usize],
-) -> Option<(f64, f64)> {
-    let w = tiles.len();
-    let start_val = ev.max_apl();
-    let mut best_val = start_val;
-    let mut best_perm: Option<&[usize]> = None;
-    // skip the identity (row 0)
-    for (perm, inverse) in perms.chunks_exact(w).zip(inverses.chunks_exact(w)).skip(1) {
-        ev.apply_window_permutation(tiles, perm);
-        let val = ev.max_apl();
-        if val + 1e-12 < best_val {
-            best_val = val;
-            best_perm = Some(perm);
-        }
-        ev.apply_window_permutation(tiles, inverse); // revert
-    }
-    let perm = best_perm?;
-    ev.apply_window_permutation(tiles, perm);
-    Some((best_val, best_val - start_val))
-}
-
-/// The `w!` permutations of a window's slots, identity first, and row for
-/// row their inverses (`q` with `p[q[s]] = s`), flattened row-major with
-/// `w` entries per row. The paper's window size borrows the compile-time
-/// permutation table; other sizes are enumerated once per solve.
-fn window_permutations(w: usize) -> (Cow<'static, [usize]>, Vec<usize>) {
-    let perms = if w == 4 {
+/// The `w!` permutations of a window's slots, identity first, flattened
+/// row-major with `w` entries per row. The paper's window size borrows
+/// the compile-time permutation table; other sizes are enumerated once
+/// per solve.
+fn window_permutations(w: usize) -> Cow<'static, [usize]> {
+    if w == 4 {
         Cow::Borrowed(PERMS4.as_flattened())
     } else {
         Cow::Owned(enumerate_permutations(w))
-    };
-    let mut inverses = vec![0; perms.len()];
-    for (p, q) in perms.chunks_exact(w).zip(inverses.chunks_exact_mut(w)) {
-        for (x, &px) in p.iter().enumerate() {
-            q[px] = x;
-        }
     }
-    (perms, inverses)
 }
 
 /// All permutations of `0..w` in lexicographic order (identity first),
@@ -454,9 +420,8 @@ mod tests {
     #[test]
     fn permutation_table_sizes() {
         for (w, count) in [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720)] {
-            let (perms, inverses) = window_permutations(w);
+            let perms = window_permutations(w);
             assert_eq!(perms.len(), count * w, "window {w}");
-            assert_eq!(inverses.len(), count * w, "window {w}");
             assert_eq!(&perms[..w], (0..w).collect::<Vec<_>>(), "identity first");
         }
     }
@@ -464,18 +429,6 @@ mod tests {
     #[test]
     fn enumerated_perms4_match_const_table() {
         assert_eq!(enumerate_permutations(4), PERMS4.as_flattened());
-    }
-
-    #[test]
-    fn inverse_rows_invert() {
-        for w in 1..=6 {
-            let (perms, inverses) = window_permutations(w);
-            for (p, q) in perms.chunks_exact(w).zip(inverses.chunks_exact(w)) {
-                for s in 0..w {
-                    assert_eq!(p[q[s]], s, "window {w}: {q:?} does not invert {p:?}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! [`evaluate`] computes a full report from scratch in `O(N)`.
 //! [`IncrementalEvaluator`] maintains per-application latency numerators so
 //! that the sliding-window search of the SSS algorithm can try a window
-//! permutation in `O(window)` instead of `O(N)`.
+//! permutation in `O(window)` instead of `O(N)`; its
+//! [`best_window_permutation`](IncrementalEvaluator::best_window_permutation)
+//! scores a whole window's permutations from one block of costs.
 
 use crate::problem::{Mapping, ObmInstance};
 use noc_model::TileId;
@@ -237,6 +239,93 @@ impl<'a> IncrementalEvaluator<'a> {
             (None, Some(jb)) => self.move_thread(jb, a),
             (None, None) => {}
         }
+    }
+
+    /// Largest window [`best_window_permutation`](Self::best_window_permutation)
+    /// scores: its cost block lives in fixed-size stack arrays.
+    pub const MAX_WINDOW: usize = 6;
+
+    /// Try every candidate permutation of the window `tiles` and apply
+    /// the one with the smallest objective, if it beats the current one
+    /// by more than 1e-12 (so the current arrangement wins ties and the
+    /// search never churns). `perms` holds the candidates flattened
+    /// row-major, `tiles.len()` slots per row, in the convention of
+    /// [`apply_window_permutation`](Self::apply_window_permutation).
+    /// Returns `Some((new objective, objective delta))` when a
+    /// permutation was kept, `None` otherwise.
+    ///
+    /// Each candidate is scored with the same f64 operations, in the same
+    /// order, as `apply_window_permutation(perm)`, then
+    /// [`max_apl`](Self::max_apl), then `apply_window_permutation` of the
+    /// inverse permutation. The result and the evaluator's state, `edits`
+    /// (2 per try) included, are bit-identical to that apply → revert
+    /// loop. Apply → revert does not return the numerators to their old
+    /// bits, and that rounding drift is part of every SSS trajectory. The
+    /// occupants and a `w × w` block of their costs on the window's tiles
+    /// are loaded once, so a try touches neither the tile → thread view
+    /// nor the mapping.
+    ///
+    /// # Panics
+    /// Panics if the window is longer than [`MAX_WINDOW`](Self::MAX_WINDOW).
+    pub fn best_window_permutation(
+        &mut self,
+        tiles: &[TileId],
+        perms: &[usize],
+    ) -> Option<(f64, f64)> {
+        const W: usize = IncrementalEvaluator::MAX_WINDOW;
+        let w = tiles.len();
+        assert!(w <= W, "window of {w} tiles exceeds {W}");
+        // app[s]: application of the occupant of slot s (None = hole);
+        // cost[s][q]: that occupant's cost on tiles[q].
+        let mut app = [None; W];
+        let mut cost = [[0.0; W]; W];
+        for (s, t) in tiles.iter().enumerate() {
+            if let Some(j) = self.inverse[t.index()] {
+                app[s] = Some(self.tables.app_of(j));
+                for (c, tq) in cost[s].iter_mut().zip(tiles) {
+                    *c = self.tables.cost(j, tq.index());
+                }
+            }
+        }
+        let app = &app[..w];
+        let start_val = self.max_apl();
+        let mut best_val = start_val;
+        let mut best_perm: Option<&[usize]> = None;
+        for perm in perms.chunks_exact(w) {
+            // apply: detach every occupant, then attach occupant perm[s]
+            // to slot s
+            for (s, a) in app.iter().enumerate() {
+                if let Some(a) = *a {
+                    self.app_num[a] -= cost[s][s];
+                }
+            }
+            for (s, &p) in perm.iter().enumerate() {
+                if let Some(a) = app[p] {
+                    self.app_num[a] += cost[p][s];
+                }
+            }
+            let val = self.max_apl();
+            // revert: detach occupant perm[s] from slot s, then attach
+            // every occupant to its own slot again
+            for (s, &p) in perm.iter().enumerate() {
+                if let Some(a) = app[p] {
+                    self.app_num[a] -= cost[p][s];
+                }
+            }
+            for (s, a) in app.iter().enumerate() {
+                if let Some(a) = *a {
+                    self.app_num[a] += cost[s][s];
+                }
+            }
+            self.edits += 2;
+            if val + 1e-12 < best_val {
+                best_val = val;
+                best_perm = Some(perm);
+            }
+        }
+        let perm = best_perm?;
+        self.apply_window_permutation(tiles, perm);
+        Some((best_val, best_val - start_val))
     }
 
     /// Apply a permutation of the threads currently occupying `tiles`:
@@ -538,6 +627,15 @@ mod tests {
             &[1, 2, 3, 0],
         );
         assert_eq!(ev.edits(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "window of 7 tiles exceeds 6")]
+    fn window_kernel_rejects_oversized_windows() {
+        let inst = fig5_instance();
+        let mut ev = IncrementalEvaluator::new(&inst, Mapping::identity(16));
+        let tiles: Vec<TileId> = (0..7).map(TileId).collect();
+        ev.best_window_permutation(&tiles, &[]);
     }
 
     #[test]

@@ -15,7 +15,11 @@
 #                         suite, the batch-evaluation suite (eval_many ≡
 #                         scratch evaluate bitwise + pinned solver goldens,
 #                         plus the goldens for SSS windows 2/3/5/6, MC on
-#                         spare tiles and 2 workers, SA restarts),
+#                         spare tiles and 2 workers, SA restarts, the SSS
+#                         telemetry goldens, and the differential oracles:
+#                         window kernel ≡ apply→revert search, BnB ≡ brute
+#                         force, MaxMinBalance and failed-link latencies
+#                         ≡ naive recomputations),
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection), the
 #                         online-remap controller's pinned decision
@@ -117,9 +121,12 @@ echo "==> batch-evaluation determinism suite (release)"
 # The batched SoA engine's contract — eval_many bit-identical to the
 # scratch evaluator, worker-count-invariant parallel path, and solver
 # goldens pinned to their pre-rewire bits — must hold under release
-# codegen (the autovectorized kernel is only emitted there).
+# codegen (the autovectorized kernel is only emitted there). So must the
+# SSS window kernel's bit-identity to the apply→revert search it
+# replaced, which the differential oracles check on random instances.
 cargo test -q --release --test eval_batch
 cargo test -q --release --test solver_goldens
+cargo test -q --release --test oracles
 
 echo "==> simulator determinism suite (release)"
 # The pinned golden SimReports — the default Bernoulli stream (unchanged

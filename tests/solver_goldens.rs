@@ -7,12 +7,21 @@
 //! the solver loops stopped allocating per candidate; the contract of
 //! that change is bit-identity, so they must never move. A proptest pins
 //! the recycled-buffer random draw to the allocating one it replaced.
+//!
+//! A second set pins SSS's solver telemetry: every `SwapAccepted`
+//! objective/delta and every pass's `EvalDelta`. The evaluator's
+//! per-application numerators drift by rounding each time a trial
+//! permutation is applied and reverted, and that drift shows in these
+//! objectives before it changes a final mapping, so solver outputs alone
+//! can miss it. They were captured before the window search began
+//! scoring permutations from a cost block.
 
 use obm::mapping::algorithms::{
     DrawScratch, HybridSssSa, Mapper, MonteCarlo, RandomMapper, SimulatedAnnealing, SortSelectSwap,
 };
 use obm::mapping::{evaluate, Mapping, ObmInstance};
 use obm::model::{Mesh, TileId, TileLatencies};
+use obm::telemetry::{RingSink, SolverEvent};
 use obm::workload::{PaperConfig, WorkloadBuilder};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -28,16 +37,21 @@ fn c1_on(n: usize) -> ObmInstance {
     ObmInstance::new(tiles, workload.boundaries(), c, m)
 }
 
-/// FNV-1a over the tile indices of a mapping, in thread order.
-fn tiles_hash(m: &Mapping) -> u64 {
+/// FNV-1a over a stream of 64-bit words.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for t in m.as_slice() {
-        for byte in (t.index() as u64).to_le_bytes() {
+    for w in words {
+        for byte in w.to_le_bytes() {
             h ^= u64::from(byte);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
     h
+}
+
+/// FNV-1a over the tile indices of a mapping, in thread order.
+fn tiles_hash(m: &Mapping) -> u64 {
+    fnv1a(m.as_slice().iter().map(|t| t.index() as u64))
 }
 
 fn runs() -> Vec<(String, ObmInstance, Mapping)> {
@@ -113,6 +127,70 @@ fn solver_goldens_hold() {
             v.to_bits()
         );
         assert_eq!(tiles_hash(m), hash, "{name}: mapping drifted");
+    }
+}
+
+/// (run, accepted swaps, step-size passes, final edit count, FNV-1a of
+/// every solver event's fields with f64s as bits), captured before the
+/// window search scored permutations from a cost block.
+const TELEMETRY_GOLDENS: [(&str, u64, u64, u64, u64); 3] = [
+    ("sss_w4_c1", 23, 16, 28359, 0xea5ebbc82cb101d7),
+    ("sss_w4_spare", 99, 20, 45639, 0x84c4d91883dccd76),
+    ("sss_w6_spare", 99, 13, 860023, 0xa3e9fd8f8e69d7ba),
+];
+
+#[test]
+fn sss_telemetry_goldens_hold() {
+    let c1 = c1_on(8);
+    let spare = c1_on(9);
+    let cases = [(&c1, 4), (&spare, 4), (&spare, 6)];
+    for ((inst, window), (name, want_swaps, want_passes, want_edits, want_hash)) in
+        cases.into_iter().zip(TELEMETRY_GOLDENS)
+    {
+        let sss = SortSelectSwap {
+            window,
+            ..SortSelectSwap::default()
+        };
+        let mut sink = RingSink::new(1 << 20);
+        let m = sss.map_probed(inst, 0, &mut sink);
+        assert_eq!(sink.dropped(), 0, "{name}: ring overflowed");
+        assert_eq!(m, sss.map(inst, 0), "{name}: probe perturbed the search");
+        let (mut swaps, mut passes, mut edits, mut words) = (0u64, 0u64, 0u64, Vec::new());
+        for e in sink.solver_events() {
+            match *e {
+                SolverEvent::SwapAccepted {
+                    window_start,
+                    step,
+                    objective,
+                    delta,
+                } => {
+                    swaps += 1;
+                    words.extend([
+                        1,
+                        window_start as u64,
+                        step,
+                        objective.to_bits(),
+                        delta.to_bits(),
+                    ]);
+                }
+                SolverEvent::EvalDelta {
+                    edits: e,
+                    objective,
+                    delta,
+                } => {
+                    passes += 1;
+                    edits = e;
+                    words.extend([2, e, objective.to_bits(), delta.to_bits()]);
+                }
+                ref other => panic!("{name}: unexpected event {other:?}"),
+            }
+        }
+        let hash = fnv1a(words);
+        assert_eq!(
+            (swaps, passes, edits, hash),
+            (want_swaps, want_passes, want_edits, want_hash),
+            "{name}: SSS telemetry drifted"
+        );
     }
 }
 
