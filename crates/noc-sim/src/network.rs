@@ -32,6 +32,7 @@ use noc_telemetry::{
     FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, ProfileRecord,
     WindowRecord, Windower,
 };
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -139,6 +140,15 @@ pub(crate) struct Router {
     /// the tail leaves. Switch allocation for port `p` scans only
     /// `routed[p]` intersected with the cycle's ready mask.
     routed: [u64; NUM_PORTS],
+    /// Union of the five `routed` masks, kept alongside them so the
+    /// per-slot "already routed?" test is one load.
+    routed_any: u64,
+    /// Lower bound on the `ready` cycle of every occupied slot's front
+    /// flit (`u64::MAX` when empty). Every buffer push lowers it; each
+    /// executed step recomputes it exactly. While `wake > cycle` no front
+    /// can leave, so the step would change nothing and `step_band` skips
+    /// it (DESIGN.md §16.3).
+    wake: u64,
 }
 
 impl Router {
@@ -155,7 +165,25 @@ impl Router {
             buffered: 0,
             occ: 0,
             routed: [0; NUM_PORTS],
+            routed_any: 0,
+            wake: u64::MAX,
         }
+    }
+
+    /// Slow oracle for a skipped step (debug builds): no occupied slot's
+    /// front flit is switch-ready at `cycle`, and the stored union equals
+    /// the OR of the `routed` masks.
+    fn sleeps_soundly(&self, cycle: u64) -> bool {
+        let union = self.routed.iter().fold(0, |acc, m| acc | m);
+        let fronts_wait = (0..self.inputs.len())
+            .filter(|&slot| self.occ & (1 << slot) != 0)
+            .all(|slot| {
+                self.inputs[slot]
+                    .buf
+                    .front()
+                    .is_some_and(|tf| tf.ready > cycle)
+            });
+        union == self.routed_any && fronts_wait
     }
 }
 
@@ -412,6 +440,8 @@ pub(crate) struct ShardSink {
     ni_removals: Vec<u32>,
     /// Link-traversal count delta.
     link_traversals: u64,
+    /// Router steps executed (not skipped as asleep) this cycle.
+    router_steps: u64,
     /// Net change to the global buffered-flit count (injects minus pops;
     /// deliveries are counted when applied).
     buffered: isize,
@@ -536,6 +566,7 @@ fn inject_tile_core(
         });
         router.buffered += 1;
         router.occ |= 1 << slot;
+        router.wake = router.wake.min(cycle + ctx.stages);
         sink.buffered += 1;
         sink.injected_routers.push(t);
         if ctx.probed {
@@ -557,7 +588,10 @@ fn inject_tile_core(
 }
 
 /// Router pass for one band: visit the listed routers in ascending order
-/// and advance each by one cycle.
+/// and advance each by one cycle. A router still asleep (`wake > cycle`:
+/// no front flit out of the pipeline) is skipped, which is exact — such a
+/// step routes nothing, allocates nothing, records no event and leaves
+/// the round-robin pointers alone (DESIGN.md §16.3).
 fn step_band(
     routers: &mut [Router],
     base: usize,
@@ -567,13 +601,18 @@ fn step_band(
     sink: &mut ShardSink,
 ) {
     for &rid in router_ids {
-        let i = rid as usize - base;
-        if routers[i].buffered == 0 {
+        let router = &mut routers[rid as usize - base];
+        if router.buffered == 0 {
             sink.router_removals.push(rid);
             continue;
         }
-        step_router_core(&mut routers[i], rid as usize, cycle, ctx, sink);
-        if routers[i].buffered == 0 {
+        if router.wake > cycle {
+            debug_assert!(router.sleeps_soundly(cycle), "router {rid} skipped awake");
+            continue;
+        }
+        sink.router_steps += 1;
+        step_router_core(router, rid as usize, cycle, ctx, sink);
+        if router.buffered == 0 {
             sink.router_removals.push(rid);
         }
     }
@@ -592,21 +631,21 @@ fn route_port(ctx: &StepCtx, r: usize, dst: u16) -> usize {
     })
 }
 
-/// Whether `slot`'s front flit may leave its buffer this cycle. A ready
-/// front that is not routed yet must be a head: route it now, so every
-/// switch-ready slot sits in exactly one `Router::routed` mask.
-fn front_ready(router: &mut Router, slot: usize, r: usize, cycle: u64, ctx: &StepCtx) -> bool {
-    let front = match router.inputs[slot].buf.front() {
-        Some(tf) if tf.ready <= cycle => tf.flit,
-        _ => return false,
+/// The cycle `slot`'s front flit may leave its buffer (`u64::MAX` when
+/// the slot is empty). A front switch-ready at `cycle` that is not routed
+/// yet must be a head: route it now, so every switch-ready slot sits in
+/// exactly one `Router::routed` mask.
+fn front_ready(router: &mut Router, slot: usize, r: usize, cycle: u64, ctx: &StepCtx) -> u64 {
+    let Some(&TimedFlit { flit, ready }) = router.inputs[slot].buf.front() else {
+        return u64::MAX;
     };
     let bit = 1u64 << slot;
-    let routed_any = router.routed.iter().fold(0, |acc, m| acc | m);
-    if routed_any & bit == 0 {
-        debug_assert!(front.is_head(), "routing state lost mid-packet");
-        router.routed[route_port(ctx, r, front.dst)] |= bit;
+    if ready <= cycle && router.routed_any & bit == 0 {
+        debug_assert!(flit.is_head(), "routing state lost mid-packet");
+        router.routed[route_port(ctx, r, flit.dst)] |= bit;
+        router.routed_any |= bit;
     }
-    true
+    ready
 }
 
 /// One cycle of a single router: routing, VC allocation, switch
@@ -628,14 +667,19 @@ fn step_router_core(
     sink: &mut ShardSink,
 ) {
     let total_vcs = ctx.total_vcs;
-    // Occupied slots whose front flit is switch-ready this cycle.
+    // Occupied slots whose front flit is switch-ready this cycle, and the
+    // earliest cycle any other front becomes ready (the next `wake`).
     let mut ready = 0u64;
+    let mut wake = u64::MAX;
     let mut occ = router.occ;
     while occ != 0 {
         let slot = occ.trailing_zeros() as usize;
         occ &= occ - 1;
-        if front_ready(router, slot, r, cycle, ctx) {
+        let at = front_ready(router, slot, r, cycle, ctx);
+        if at <= cycle {
             ready |= 1 << slot;
+        } else {
+            wake = wake.min(at);
         }
     }
     // Slots of the crossbar inputs claimed this cycle: one input per port
@@ -777,6 +821,7 @@ fn step_router_core(
         }
         if flit.is_tail() {
             router.routed[out_port] &= !bit;
+            router.routed_any &= !bit;
             router.inputs[slot].out_vc = None;
         }
         // The next flit in the slot may already be switch-ready (zero
@@ -785,10 +830,18 @@ fn step_router_core(
         ready &= !bit;
         if router.inputs[slot].buf.is_empty() {
             router.occ &= !bit;
-        } else if front_ready(router, slot, r, cycle, ctx) {
-            ready |= bit;
+        } else {
+            let at = front_ready(router, slot, r, cycle, ctx);
+            if at <= cycle {
+                ready |= bit;
+            } else {
+                wake = wake.min(at);
+            }
         }
     }
+    // Fronts changed only where flits left, and those were re-read above;
+    // a ready front that did not win keeps the router awake.
+    router.wake = if ready != 0 { cycle } else { wake };
 }
 
 /// The simulator.
@@ -813,6 +866,14 @@ pub struct Network {
     source_accum: Vec<SourceCounters>,
     /// Nearest memory controller per tile, precomputed.
     nearest_mc: Vec<TileId>,
+    /// Bernoulli arrival table, `2·source + class`: each entry's coin and
+    /// the cycle it goes stale. Refreshed from the schedule only at epoch
+    /// ends, so the per-cycle scan never reads a `Schedule`.
+    coins: Vec<ArrivalCoin>,
+    /// The earliest `until` in `coins`: the next cycle with a refresh.
+    coins_stale_at: u64,
+    /// The long-packet coin (`long_fraction`), built once.
+    long_coin: Bernoulli,
     rng: SmallRng,
     report: SimReport,
     /// Measured packets still in flight (for the drain phase).
@@ -821,6 +882,8 @@ pub struct Network {
     inflight_total: u64,
     /// Flits forwarded over inter-router links (all phases).
     link_flit_traversals: u64,
+    /// Router steps executed, asleep routers excluded (all phases).
+    router_steps: u64,
     /// Total flits buffered anywhere in the network right now
     /// (incrementally maintained; replaces the per-cycle O(routers) scan).
     total_buffered: usize,
@@ -899,6 +962,28 @@ struct MetricTimes {
 /// Class tag stored in arrival events (heap tuples order by it).
 const CLASS_CACHE: u8 = 0;
 const CLASS_MEM: u8 = 1;
+
+/// Offset of the first entry of `coins` whose coin lands, sampling every
+/// coin before it in order (rate-0 entries draw nothing). The generator
+/// state stays in registers for the scan.
+fn first_landing(coins: &[ArrivalCoin], rng: &mut SmallRng) -> Option<usize> {
+    let mut local = rng.clone();
+    let hit = coins
+        .iter()
+        .position(|c| c.coin.is_some_and(|coin| coin.sample(&mut local)));
+    *rng = local;
+    hit
+}
+
+/// One `(source, class)` entry of the Bernoulli arrival table: the coin
+/// `Schedule::coin_at` gave for the current epoch (`None` = rate 0, no
+/// draw) and the first cycle it goes stale.
+/// The default (`until = 0`) marks an entry not filled yet.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArrivalCoin {
+    coin: Option<Bernoulli>,
+    until: u64,
+}
 
 /// Cumulative per-source, per-class delivery accumulators fed to a
 /// [`SwapController`] (measured packets only). Indexed by *source*,
@@ -986,6 +1071,9 @@ impl Network {
         traffic.check_tiles(n)?;
         traffic.check_schedules()?;
         let (sources, num_groups) = traffic.into_parts();
+        let long_coin = Bernoulli::new(cfg.long_fraction)
+            .map_err(|_| ConfigError::BadLongFraction(cfg.long_fraction))?;
+        let coins = vec![ArrivalCoin::default(); 2 * sources.len()];
         let vcs = cfg.total_vcs();
         let depth = cfg.buffer_depth;
         let nearest_mc = cfg
@@ -1006,6 +1094,9 @@ impl Network {
             sources,
             source_accum: Vec::new(),
             nearest_mc,
+            coins,
+            coins_stale_at: 0,
+            long_coin,
             rng: SmallRng::seed_from_u64(cfg.seed),
             report: {
                 let mut r = SimReport::new(num_groups);
@@ -1015,6 +1106,7 @@ impl Network {
             inflight_measured: 0,
             inflight_total: 0,
             link_flit_traversals: 0,
+            router_steps: 0,
             total_buffered: 0,
             peak_buffered: 0,
             cycles_run: 0,
@@ -1036,7 +1128,7 @@ impl Network {
 
     /// Attach a runtime-metrics handle (DESIGN.md §17). The run then
     /// reports `sim_*` counters (cycles, injected/delivered packets,
-    /// link traversals, skipped cycles), a `sim_shards` gauge, and the
+    /// link traversals, skipped cycles, router steps), a `sim_shards` gauge, and the
     /// `sim/shard/{barrier,band,replay}` / `sim/serial/cycle` spans.
     /// Metrics are write-only observers: results stay bit-identical to
     /// a run without the handle (the PR 2 purity contract).
@@ -1200,7 +1292,8 @@ impl Network {
                     self.cfg.mesh.rows(),
                     self.cfg.mesh.cols(),
                     self.cfg.total_vcs(),
-                ),
+                )
+                .with_wrap(self.cfg.topology == Topology::Torus),
                 wants_packets: probe.wants_packets(),
                 pending: Vec::new(),
             }));
@@ -1352,13 +1445,17 @@ impl Network {
             link_flit_traversals: self.link_flit_traversals,
             peak_buffered_flits: self.peak_buffered,
             cycles_run: self.cycles_run,
-            num_links: 2
-                * (self.cfg.mesh.rows() * (self.cfg.mesh.cols() - 1)
-                    + self.cfg.mesh.cols() * (self.cfg.mesh.rows() - 1)),
+            num_links: ctx
+                .neighbors
+                .iter()
+                .flatten()
+                .filter(|&&nb| nb != u16::MAX)
+                .count(),
             peak_live_packets: self.peak_live_packets,
             packet_slab_slots: self.packets.len(),
             arrival_draws: self.arrival_draws,
             skipped_cycles: self.skipped_cycles,
+            router_steps: self.router_steps,
             wall_nanos: wall_start.elapsed().as_nanos() as u64,
         };
         // Flush run totals into the metrics registry (write-only; skipped
@@ -1373,6 +1470,7 @@ impl Network {
             m.add("sim_delivered_packets_total", self.report.delivered);
             m.add("sim_link_flit_traversals_total", self.link_flit_traversals);
             m.add("sim_skipped_cycles_total", self.skipped_cycles);
+            m.add("sim_router_steps_total", self.router_steps);
             m.gauge_set("sim_shards", self.cfg.effective_shards() as f64);
             let wall = self.report.network.wall_nanos;
             if wall > 0 {
@@ -1578,6 +1676,8 @@ impl Network {
             sink.router_removals.clear();
             self.link_flit_traversals += sink.link_traversals;
             sink.link_traversals = 0;
+            self.router_steps += sink.router_steps;
+            sink.router_steps = 0;
             self.total_buffered = (self.total_buffered as isize + sink.buffered) as usize;
             sink.buffered = 0;
         }
@@ -1732,6 +1832,7 @@ impl Network {
                     });
                 router.buffered += 1;
                 router.occ |= 1 << (d.port * total_vcs + d.vc);
+                router.wake = router.wake.min(d.ready);
                 self.total_buffered += 1;
                 self.active_routers.insert(d.router);
                 if let Some(fl) = self.flow.as_mut() {
@@ -1847,24 +1948,48 @@ impl Network {
         }
     }
 
-    /// Bernoulli packet generation at every source.
+    /// Bernoulli packet generation at every source, in the historical
+    /// draw order: per source the cache coin (and, when it lands, the
+    /// destination draw) before the memory coin, and a landing coin's
+    /// `spawn_packet` (which draws the long-packet coin) before the scan
+    /// resumes (DESIGN.md §11.4).
     fn generate(&mut self, cycle: u64) {
+        if cycle >= self.coins_stale_at {
+            self.refresh_coins(cycle);
+        }
         let measured = cycle >= self.cfg.warmup_cycles;
         let n = self.cfg.mesh.num_tiles();
-        for si in 0..self.sources.len() {
-            // cache class
-            let rate = self.sources[si].cache.rate_at(cycle);
-            if rate > 0.0 && self.rng.gen_bool(rate.min(1.0)) {
-                let dst = TileId(self.rng.gen_range(0..n));
-                self.spawn_packet(si, PacketClass::Cache, dst, cycle, measured);
-            }
-            // memory class
-            let rate = self.sources[si].mem.rate_at(cycle);
-            if rate > 0.0 && self.rng.gen_bool(rate.min(1.0)) {
-                let dst = self.nearest_mc[self.sources[si].tile.index()];
-                self.spawn_packet(si, PacketClass::Memory, dst, cycle, measured);
-            }
+        let mut from = 0;
+        while let Some(hit) = first_landing(&self.coins[from..], &mut self.rng) {
+            let i = from + hit;
+            let si = i / 2;
+            let (class, dst) = if i % 2 == 0 {
+                (PacketClass::Cache, TileId(self.rng.gen_range(0..n)))
+            } else {
+                let tile = self.sources[si].tile.index();
+                (PacketClass::Memory, self.nearest_mc[tile])
+            };
+            self.spawn_packet(si, class, dst, cycle, measured);
+            from = i + 1;
         }
+    }
+
+    /// Refill every stale `coins` entry from its schedule at `cycle`.
+    fn refresh_coins(&mut self, cycle: u64) {
+        let mut stale_at = u64::MAX;
+        for (i, slot) in self.coins.iter_mut().enumerate() {
+            if cycle >= slot.until {
+                let source = &self.sources[i / 2];
+                let sched = if i % 2 == 0 {
+                    &source.cache
+                } else {
+                    &source.mem
+                };
+                (slot.coin, slot.until) = sched.coin_at(cycle);
+            }
+            stale_at = stale_at.min(slot.until);
+        }
+        self.coins_stale_at = stale_at;
     }
 
     fn spawn_packet(
@@ -1877,7 +2002,7 @@ impl Network {
     ) {
         let src = self.sources[source_idx].tile;
         let group = self.sources[source_idx].group;
-        let len = if self.rng.gen_bool(self.cfg.long_fraction) {
+        let len = if self.long_coin.sample(&mut self.rng) {
             self.cfg.long_flits
         } else {
             1

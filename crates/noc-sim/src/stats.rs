@@ -26,7 +26,8 @@ pub struct NetworkStats {
     pub peak_buffered_flits: usize,
     /// Total cycles simulated (warm-up + measure + drain).
     pub cycles_run: u64,
-    /// Unidirectional inter-router links in the mesh.
+    /// Unidirectional inter-router links: the simulator's neighbour
+    /// table, so a torus counts its wrap-around links too.
     pub num_links: usize,
     /// Peak number of packets simultaneously alive (queued at an NI or with
     /// flits in the network). Bounds the packet-table footprint.
@@ -46,6 +47,15 @@ pub struct NetworkStats {
     ///
     /// [`semantic_eq`]: NetworkStats::semantic_eq
     pub skipped_cycles: u64,
+    /// Router steps executed: visits of a buffered router with a front
+    /// flit out of the router pipeline. Asleep routers (every front still
+    /// in the pipeline) are skipped and not counted. Identical for plain,
+    /// probed and sharded runs of one configuration, but like
+    /// [`skipped_cycles`](Self::skipped_cycles) it describes how the run
+    /// executed, so [`semantic_eq`] leaves it out.
+    ///
+    /// [`semantic_eq`]: NetworkStats::semantic_eq
+    pub router_steps: u64,
     /// Wall-clock time of the whole `run()` call, in nanoseconds.
     /// Nondeterministic; excluded from [`semantic_eq`].
     ///
@@ -90,8 +100,9 @@ impl NetworkStats {
     }
 
     /// Equality of everything the simulation semantics determine — i.e.
-    /// all counters except the wall-clock measurement and the fast-forward
-    /// jump tally (see [`skipped_cycles`](Self::skipped_cycles)).
+    /// all counters except the wall-clock measurement, the fast-forward
+    /// jump tally (see [`skipped_cycles`](Self::skipped_cycles)) and the
+    /// router-step count.
     pub fn semantic_eq(&self, other: &NetworkStats) -> bool {
         self.link_flit_traversals == other.link_flit_traversals
             && self.peak_buffered_flits == other.peak_buffered_flits

@@ -3,6 +3,7 @@
 
 use crate::config::ConfigError;
 use noc_model::{Mesh, TileId};
+use rand::distributions::Bernoulli;
 use rand::Rng;
 
 /// A time-varying packet injection rate (packets per cycle).
@@ -97,6 +98,21 @@ impl Schedule {
                 }
             }
         }
+    }
+
+    /// The per-cycle arrival coin in force at `cycle` — `None` while the
+    /// rate is 0, which draws nothing — and the first cycle it goes stale
+    /// (the epoch end; `u64::MAX` for a constant schedule). Sampling the
+    /// coin is bit-identical to `gen_bool(rate_at(c).min(1.0))` for every
+    /// `c` in `cycle..until` (DESIGN.md §11.4).
+    pub(crate) fn coin_at(&self, cycle: u64) -> (Option<Bernoulli>, u64) {
+        let rate = self.rate_at(cycle);
+        let coin = if rate > 0.0 {
+            Bernoulli::new(rate.min(1.0)).ok()
+        } else {
+            None
+        };
+        (coin, self.epoch_end(cycle))
     }
 
     /// Draw the next arrival cycle in `[from, horizon)` by geometric

@@ -14,7 +14,8 @@
 //! (row + 1), 2 = west (col − 1), 3 = east (col + 1). Link slots for
 //! edge ports with no neighbour exist in the vectors but stay zero, so a
 //! `rows × cols` mesh carries `2·(rows·(cols−1) + cols·(rows−1))`
-//! non-trivial directed links.
+//! non-trivial directed links. On a torus ([`HeatmapRecord::with_wrap`])
+//! off-edge ports wrap around, so all `4·rows·cols` slots are links.
 
 /// North output port (towards row − 1).
 pub const PORT_NORTH: usize = 0;
@@ -55,6 +56,8 @@ pub struct HeatmapRecord {
     pub cols: usize,
     /// Virtual channels per input port (both classes).
     pub total_vcs: usize,
+    /// Torus: off-edge ports wrap to the far side of the chip.
+    pub wrap: bool,
     /// Final simulated cycle, set by [`finalize`](Self::finalize).
     pub cycles: u64,
     /// Flit traversals per directed link, indexed `tile * 4 + port`.
@@ -93,6 +96,7 @@ impl HeatmapRecord {
             rows,
             cols,
             total_vcs,
+            wrap: false,
             cycles: 0,
             link_flits: vec![0; n * MESH_PORTS],
             vc_occupancy: vec![0; n * total_vcs],
@@ -104,20 +108,38 @@ impl HeatmapRecord {
         }
     }
 
-    /// Number of directed inter-router links in the mesh:
-    /// `2·(rows·(cols−1) + cols·(rows−1))`.
-    pub fn num_links(&self) -> usize {
-        2 * (self.rows * (self.cols - 1) + self.cols * (self.rows - 1))
+    /// The same record on a torus (`wrap = true`): edge ports wrap
+    /// around like the simulator's, so wrap-link traversals show up in
+    /// [`links`](Self::links).
+    pub fn with_wrap(mut self, wrap: bool) -> Self {
+        self.wrap = wrap;
+        self
     }
 
-    /// Neighbour of `tile` through `port`, if the mesh has one.
+    /// Number of directed inter-router links: `4·rows·cols` on a torus,
+    /// `2·(rows·(cols−1) + cols·(rows−1))` on a mesh.
+    pub fn num_links(&self) -> usize {
+        if self.wrap {
+            MESH_PORTS * self.rows * self.cols
+        } else {
+            2 * (self.rows * (self.cols - 1) + self.cols * (self.rows - 1))
+        }
+    }
+
+    /// Neighbour of `tile` through `port`, if the chip has one.
     pub fn neighbor_of(&self, tile: usize, port: usize) -> Option<usize> {
-        let (row, col) = (tile / self.cols, tile % self.cols);
+        let (rows, cols) = (self.rows, self.cols);
+        let (row, col) = (tile / cols, tile % cols);
+        let at = |r: usize, c: usize| Some(r * cols + c);
         match port {
-            PORT_NORTH if row > 0 => Some(tile - self.cols),
-            PORT_SOUTH if row + 1 < self.rows => Some(tile + self.cols),
-            PORT_WEST if col > 0 => Some(tile - 1),
-            PORT_EAST if col + 1 < self.cols => Some(tile + 1),
+            PORT_NORTH if row > 0 => at(row - 1, col),
+            PORT_SOUTH if row + 1 < rows => at(row + 1, col),
+            PORT_WEST if col > 0 => at(row, col - 1),
+            PORT_EAST if col + 1 < cols => at(row, col + 1),
+            PORT_NORTH if self.wrap => at(rows - 1, col),
+            PORT_SOUTH if self.wrap => at(0, col),
+            PORT_WEST if self.wrap => at(row, cols - 1),
+            PORT_EAST if self.wrap => at(row, 0),
             _ => None,
         }
     }
@@ -195,8 +217,9 @@ impl HeatmapRecord {
     }
 
     /// The existing directed links in deterministic order: ascending tile,
-    /// then port order north, south, west, east. Edge slots are skipped,
-    /// so exactly [`num_links`](Self::num_links) items are yielded.
+    /// then port order north, south, west, east. Mesh edge slots are
+    /// skipped, so exactly [`num_links`](Self::num_links) items are
+    /// yielded.
     pub fn links(&self) -> impl Iterator<Item = LinkFlits> + '_ {
         (0..self.rows * self.cols).flat_map(move |tile| {
             (0..MESH_PORTS).filter_map(move |port| {
@@ -211,7 +234,8 @@ impl HeatmapRecord {
     }
 
     /// Render the mesh as ASCII art with one decile digit per directed
-    /// link (`9` = the hottest link, `.` = completely idle).
+    /// link (`9` = the hottest link, `.` = completely idle). A torus's
+    /// wrap links are not drawn.
     ///
     /// Router rows look like `o-ab-o`: `a` is the eastbound link leaving
     /// the left router, `b` the westbound link leaving the right one.
@@ -267,6 +291,21 @@ mod tests {
             let h = HeatmapRecord::new(rows, cols, 6);
             assert_eq!(h.links().count(), h.num_links());
         }
+    }
+
+    #[test]
+    fn torus_links_wrap_around_every_edge() {
+        for (rows, cols) in [(1, 1), (2, 2), (3, 4), (4, 4)] {
+            let h = HeatmapRecord::new(rows, cols, 2).with_wrap(true);
+            assert_eq!(h.num_links(), 4 * rows * cols);
+            assert_eq!(h.links().count(), h.num_links());
+        }
+        let h = HeatmapRecord::new(3, 4, 2).with_wrap(true);
+        assert_eq!(h.neighbor_of(0, PORT_NORTH), Some(8));
+        assert_eq!(h.neighbor_of(0, PORT_WEST), Some(3));
+        assert_eq!(h.neighbor_of(11, PORT_SOUTH), Some(3));
+        assert_eq!(h.neighbor_of(11, PORT_EAST), Some(8));
+        assert_eq!(h.neighbor_of(5, PORT_EAST), Some(6));
     }
 
     #[test]

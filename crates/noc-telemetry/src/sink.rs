@@ -429,6 +429,7 @@ impl HeatmapRecord {
             ("rows", Value::from(self.rows)),
             ("cols", Value::from(self.cols)),
             ("total_vcs", Value::from(self.total_vcs)),
+            ("wrap", Value::Bool(self.wrap)),
             ("cycles", Value::from(self.cycles)),
             ("total_link_flits", Value::from(self.total_link_flits())),
             (

@@ -21,7 +21,11 @@
 #                         force, MaxMinBalance and failed-link latencies
 #                         ≡ naive recomputations),
 #                         the simulator's golden-report suite
-#                         (Bernoulli + geometric injection), the
+#                         (Bernoulli + geometric injection, the 48
+#                         fingerprinted random configurations, the
+#                         torus heatmap's wrap-link accounting) plus
+#                         the vendored rand's Bernoulli coin ≡ the
+#                         float gen_bool test on boundary words, the
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
 #                         exhaustive win + TM-vs-simulator agreement,
@@ -40,7 +44,8 @@
 #                         byte-identical across two same-seed runs;
 #                         the metrics surface (`--metrics` on simulate/
 #                         solve + `obm status`) is smoke-tested the same
-#                         way: family grep on the Prometheus text and
+#                         way: family grep on the Prometheus text
+#                         (sim_router_steps_total included) and
 #                         byte-determinism across two same-seed runs
 #                         under OBM_METRICS_CLOCK=logical
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
@@ -132,8 +137,12 @@ echo "==> simulator determinism suite (release)"
 # The pinned golden SimReports — the default Bernoulli stream (unchanged
 # since PR 1) and the geometric-injection goldens with their exact
 # window spans across fast-forwarded regions — must hold under release
-# codegen too.
+# codegen too, as must the fingerprints of 48 random configurations
+# (sleeping routers, threshold-table arrivals) and the torus heatmap's
+# wrap-link accounting. The Bernoulli coin behind the arrival tables
+# must match the float gen_bool test it replaced, word for word.
 cargo test -q --release --test sim_determinism
+cargo test -q --release -p rand
 
 echo "==> shard determinism suite (release, OBM_SIM_SHARDS=4)"
 # The row-band parallel engine's contract — bit-identical SimReport and
@@ -217,7 +226,8 @@ OBM_METRICS_CLOCK=logical "$obm" simulate "$smokedir/c1.spec" --cycles 2000 \
 cmp -s "$smokedir/sim.prom" "$smokedir/sim2.prom" \
     || { echo "metrics snapshot differs across two same-seed logical-clock runs"; exit 1; }
 for family in sim_runs_total sim_cycles_total sim_injected_packets_total \
-    sim_delivered_packets_total sim_link_flit_traversals_total sim_shards; do
+    sim_delivered_packets_total sim_link_flit_traversals_total \
+    sim_router_steps_total sim_shards; do
     grep -q "^$family " "$smokedir/sim.prom" \
         || { echo "metrics family $family missing from simulate snapshot"; exit 1; }
 done

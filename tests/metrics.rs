@@ -116,9 +116,40 @@ proptest! {
             on.network.link_flit_traversals
         );
         prop_assert_eq!(counter("sim_skipped_cycles_total"), on.network.skipped_cycles);
+        prop_assert_eq!(counter("sim_router_steps_total"), on.network.router_steps);
+        prop_assert_eq!(off.network.router_steps, on.network.router_steps);
         prop_assert_eq!(
             h.gauge_value("sim_shards").map(|v| v as usize),
             Some(shards)
+        );
+    }
+}
+
+/// The router-step count is one number per configuration: the same for
+/// a plain, a probed and a 2-shard run, and exported unchanged as
+/// `sim_router_steps_total`. A router whose front flits are all still
+/// in the router pipeline is asleep and not stepped; the sharded engine
+/// must skip exactly the steps the serial one skips.
+#[test]
+fn router_steps_agree_across_plain_probed_and_sharded_runs() {
+    for (seed, geometric) in [(3, false), (4, true)] {
+        let plain = network(seed, 0.02, 0.004, 1, geometric).run();
+        let mut ring = RingSink::new(64);
+        let probed = network(seed, 0.02, 0.004, 1, geometric).run_probed(&mut ring);
+        let sharded = network(seed, 0.02, 0.004, 2, geometric).run();
+        let registry = MetricsRegistry::new();
+        let metered = network(seed, 0.02, 0.004, 2, geometric)
+            .with_metrics(registry.handle())
+            .run();
+        let steps = plain.network.router_steps;
+        assert!(steps > 0);
+        for r in [&probed, &sharded, &metered] {
+            assert!(r.semantic_eq(&plain));
+            assert_eq!(r.network.router_steps, steps, "seed {seed}");
+        }
+        assert_eq!(
+            registry.handle().counter_value("sim_router_steps_total"),
+            Some(steps)
         );
     }
 }

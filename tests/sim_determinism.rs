@@ -20,11 +20,15 @@
 //!
 //! [`SimReport::semantic_eq`]: obm::sim::SimReport::semantic_eq
 
+mod common;
+
+use common::fnv1a;
 use obm::model::{MemoryControllers, Mesh, TileId, Topology};
 use obm::sim::{
     InjectionProcess, Network, RoutingKind, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
 };
-use obm::telemetry::{HeatmapRecord, NoopSink, Phase, RingSink};
+use obm::telemetry::json::{self, Value};
+use obm::telemetry::{HeatmapRecord, JsonLinesSink, NoopSink, PacketRecord, Phase, RingSink};
 use proptest::prelude::*;
 
 /// The pinned scenario's network: 4×4 mesh, one far memory controller,
@@ -454,6 +458,77 @@ fn pinned_heatmap_link_conservation_both_injection_modes() {
         let total: u64 = stalls.iter().sum();
         assert!(total <= heat.cycles * n_routers);
     }
+}
+
+/// A torus's heatmap covers its wrap-around links: on a 4×4 torus all 64
+/// directed links, summing to every link traversal of the run, and the
+/// JSON sink writes each of them with its wrap destination. Without the
+/// wraps the heatmap saw 48 links and lost the traversals across the
+/// chip's edges, and `num_links` overstated mean link utilization by 4/3.
+#[test]
+fn torus_heatmap_counts_wrap_links() {
+    let mesh = Mesh::square(4);
+    let network = || {
+        let mut cfg = SimConfig::paper_defaults(mesh);
+        cfg.topology = Topology::Torus;
+        cfg.warmup_cycles = 0;
+        cfg.measure_cycles = 5_000;
+        let traffic = TrafficSpec::uniform(
+            &mesh,
+            Schedule::per_kilocycle(10.0),
+            Schedule::per_kilocycle(1.0),
+        );
+        Network::new(cfg, traffic).expect("valid config")
+    };
+    let (r, heat) = probed_heatmap(network());
+    assert!(heat.wrap);
+    assert_eq!(r.network.num_links, 64);
+    assert_eq!(heat.num_links(), 64);
+    assert_eq!(heat.links().count(), 64);
+    let total: u64 = heat.links().map(|l| l.flits).sum();
+    assert_eq!(total, r.network.link_flit_traversals);
+    assert_eq!(total, heat.total_link_flits());
+    let wrap_flits: u64 = heat
+        .links()
+        .filter(|l| l.to.abs_diff(l.tile) != 1 && l.to.abs_diff(l.tile) != 4)
+        .map(|l| l.flits)
+        .sum();
+    assert!(wrap_flits > 0, "no traffic crossed a wrap link");
+    assert_eq!(
+        r.network.mean_link_utilization(),
+        total as f64 / (64.0 * r.network.cycles_run as f64)
+    );
+
+    let mut buf = Vec::new();
+    let mut sink = JsonLinesSink::new(&mut buf);
+    let again = network().run_probed(&mut sink);
+    assert!(again.semantic_eq(&r));
+    let text = String::from_utf8(buf).expect("utf-8");
+    let line = text
+        .lines()
+        .map(|l| json::parse(l).expect("valid JSON line"))
+        .find(|v| v.get("type").and_then(Value::as_str) == Some("heatmap"))
+        .expect("heatmap line");
+    assert_eq!(line.get("wrap"), Some(&Value::Bool(true)));
+    let links: Vec<(u64, u64, u64, u64)> = line
+        .get("links")
+        .and_then(Value::as_arr)
+        .expect("links array")
+        .iter()
+        .map(|l| {
+            let field = |k: &str| l.get(k).and_then(Value::as_u64).expect("link field");
+            (field("tile"), field("port"), field("to"), field("flits"))
+        })
+        .collect();
+    let expected: Vec<(u64, u64, u64, u64)> = heat
+        .links()
+        .map(|l| (l.tile as u64, l.port as u64, l.to as u64, l.flits))
+        .collect();
+    assert_eq!(links, expected);
+    assert_eq!(
+        line.get("total_link_flits").and_then(Value::as_u64),
+        Some(total)
+    );
 }
 
 /// The heatmap of one probed run, plus its report.
@@ -991,4 +1066,214 @@ proptest! {
         // count into `injected`).
         prop_assert!(r.network.arrival_draws >= r.injected);
     }
+}
+
+/// One seeded random configuration of the fingerprint suite. The
+/// categorical axes come from the bits of `case` (topology, routing,
+/// injection process, shard count, schedule kind: all 32 combinations
+/// within the first 32 cases); buffer shape, router stages, loads and
+/// run length are drawn from `SmallRng::seed_from_u64(case)`.
+fn fuzz_network(case: u64) -> Network {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(0x5EED_0000 + case);
+    let mesh = Mesh::new(rng.gen_range(2..=5), rng.gen_range(2..=5));
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    cfg.topology = if case & 1 == 0 {
+        Topology::Mesh
+    } else {
+        Topology::Torus
+    };
+    cfg.routing = if case & 2 == 0 {
+        RoutingKind::Xy
+    } else {
+        RoutingKind::Yx
+    };
+    cfg.injection = if case & 4 == 0 {
+        InjectionProcess::BernoulliPerCycle
+    } else {
+        InjectionProcess::Geometric
+    };
+    cfg.shards = if case & 8 == 0 { 1 } else { 2 };
+    let piecewise = case & 16 != 0;
+    cfg.router_stages = rng.gen_range(0..=3);
+    cfg.vcs_per_class = rng.gen_range(1..=3);
+    cfg.buffer_depth = rng.gen_range(1..=5);
+    cfg.crossbar_input_limit = rng.gen_range(0..4) != 0;
+    cfg.long_fraction = rng.gen_range(0.0..1.0);
+    cfg.warmup_cycles = rng.gen_range(0..=300);
+    cfg.measure_cycles = rng.gen_range(600..=1_500);
+    cfg.max_drain_cycles = 2_000;
+    cfg.telemetry_window = rng.gen_range(100..=500);
+    cfg.seed = rng.gen_range(0..u64::MAX);
+    let load = rng.gen_range(0.002..0.12);
+    let schedule = |rng: &mut SmallRng, scale: f64| {
+        if piecewise {
+            let epochs = rng.gen_range(1..=4);
+            let rates = (0..epochs)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    _ => rng.gen_range(0.0..load * scale),
+                })
+                .collect();
+            Schedule::Piecewise {
+                epoch_cycles: rng.gen_range(40..=400),
+                rates,
+            }
+        } else {
+            Schedule::Constant(rng.gen_range(0.0..load * scale))
+        }
+    };
+    let sources: Vec<SourceSpec> = mesh
+        .tiles()
+        .map(|t| SourceSpec {
+            tile: t,
+            group: t.index() % 2,
+            cache: schedule(&mut rng, 1.0),
+            mem: schedule(&mut rng, 0.25),
+        })
+        .collect();
+    let traffic = TrafficSpec::new(sources, 2).expect("valid traffic");
+    Network::new(cfg, traffic).expect("valid config")
+}
+
+/// FNV-1a of every simulated bit of a report: the accumulators (through
+/// their `Debug` rendering, which prints each f64 exactly and covers the
+/// private fields) and the counters. Wall time and the link count are
+/// left out.
+fn report_fingerprint(r: &SimReport) -> u64 {
+    let accums = r
+        .groups
+        .iter()
+        .chain(&r.per_source)
+        .chain([&r.cache, &r.memory]);
+    let text: String = accums.map(|a| format!("{a:?}")).collect();
+    let n = &r.network;
+    fnv1a(text.bytes().map(u64::from).chain([
+        r.measured_cycles,
+        r.injected,
+        r.delivered,
+        r.fully_drained as u64,
+        n.link_flit_traversals,
+        n.peak_buffered_flits as u64,
+        n.cycles_run,
+        n.peak_live_packets as u64,
+        n.packet_slab_slots as u64,
+        n.arrival_draws,
+        n.skipped_cycles,
+    ]))
+}
+
+/// FNV-1a of a heatmap's raw counters: per-port link slots (wrap links
+/// included), occupancy integrals and the three stall vectors.
+fn heatmap_fingerprint(h: &HeatmapRecord) -> u64 {
+    fnv1a(
+        [h.cycles]
+            .into_iter()
+            .chain(h.link_flits.iter().copied())
+            .chain(h.vc_occupancy.iter().copied())
+            .chain(h.credit_stalls.iter().copied())
+            .chain(h.vc_stalls.iter().copied())
+            .chain(h.switch_stalls.iter().copied()),
+    )
+}
+
+/// FNV-1a of every per-packet record, in delivery order.
+fn packets_fingerprint<'a>(records: impl Iterator<Item = &'a PacketRecord>) -> u64 {
+    fnv1a(records.flat_map(|p| {
+        [
+            p.src as u64,
+            p.dst as u64,
+            p.cache as u64,
+            p.group as u64,
+            p.flits as u64,
+            p.hops as u64,
+            p.enqueue_cycle,
+            p.inject_cycle,
+            p.head_eject_cycle,
+            p.tail_eject_cycle,
+            p.measured as u64,
+        ]
+    }))
+}
+
+/// `(report, heatmap, packets)` fingerprints of the 48 `fuzz_network`
+/// cases, captured before routers could sleep and before arrivals were
+/// drawn against threshold tables. The report fingerprint is of the
+/// plain run; the other two come from a probed run with packet records.
+const GOLDEN_FUZZ: [[u64; 3]; 48] = [
+    [0x48ae2db6b6dab79e, 0x1f59c28c3f5c926c, 0xab30f2fc0e04e6b9],
+    [0x4e5425a1cb23d005, 0x0e062b47dca08b8a, 0x74b2a9bab6092e7b],
+    [0xeb0cdd2e226d0a99, 0xa5b61b9ebfb8d17c, 0xc1fcf0a7dc000fe6],
+    [0xccca97267c965600, 0x79a87a30087f58f5, 0x1c1e4b54acb5a21e],
+    [0x7d85848e8307e571, 0xce00a41cbe7b3715, 0xdbe42c775e27b317],
+    [0xf99c89232a1823bd, 0x67f7f1ce8451b589, 0xb0a8dc96e2556f2d],
+    [0x617730638a4971de, 0x6e58efd48d102988, 0x44ed22f8d477081a],
+    [0x2a9ef0ce2a9fb649, 0xf4e0d3877c0c5405, 0x1bacf1dd7da21acd],
+    [0x2c6cf20ab012f7e8, 0x45f9b57994effa3b, 0xb1b366230c51c64b],
+    [0xd8dc43a482190466, 0x8f005e7802db3a19, 0xc2e5da058a0da947],
+    [0x79b4ca48a9c72290, 0x543fe1e8862fb05e, 0xcb93c4663ea93321],
+    [0xcbb7f749c1b75eda, 0x8b6389ddbe356e22, 0x4ee7b343f0157ace],
+    [0xf32e81573cf65676, 0x25157b0fd8eeba3c, 0x8196de7b2ccfd020],
+    [0x46645841e66bcbd3, 0xddae07170fe38f0e, 0xb3b8650ac4e4d816],
+    [0x9f69070e32f65ebd, 0x4b07a5b6633bba62, 0x16da3aad654302fd],
+    [0x5c58898db880cd96, 0xa394736915b4a114, 0x735f9619632e46ca],
+    [0x35d96aa23dc13417, 0x29ca933fa84fb6b3, 0xf75fc361732132fb],
+    [0x60af6f7282e10505, 0xa70f8d14df7a1bc2, 0xef97bdd5afbfa7fe],
+    [0x3017e44274587ffd, 0x5de4f7908e01a132, 0x5771c7ae767305be],
+    [0xc294c249f02dc999, 0xdca7b01b89493ea0, 0xf740b53e3bc4a1e3],
+    [0x0290fb32b63f3449, 0xfd289c12a81e5dec, 0x9b1e35ad5e7ed1fc],
+    [0xa63df81757aea060, 0xedc1197f7bbaf2cb, 0x8f1daedc621c3d22],
+    [0x2dc35ad44aa6d84d, 0xa401b19b3f1f91fb, 0x937b3f5befb4cea5],
+    [0xe2806cfe74520ff5, 0x2ed4668608c8547e, 0x77d87aab78a7f2ab],
+    [0xb841a594a0eb2a15, 0x9d6db49152f3e8b3, 0xb9a1993ee202d52e],
+    [0xcce800e204535496, 0x360a7b855ed8a8fb, 0x83395805fe76680a],
+    [0x026b5be801aa5755, 0x697c558ff97a347f, 0x4a8125d6dd47c599],
+    [0xe2e8fbf6a001248a, 0x54a3a2654341ebd2, 0xd4354c07ab0a2b77],
+    [0x1e4f47c1e5145e18, 0x244b959e8dee03ec, 0x55731604570a21e7],
+    [0x881e59f5e0e6db68, 0x2d2ec974a4dbed9a, 0x8f0c61c6be9f2784],
+    [0x79736fc2b24ca38c, 0x3136ac518d0dfa74, 0x00c5dcd325850d0d],
+    [0xceb0cb3093a97d8f, 0xd7640cc185da6a29, 0x7c89dd992040176d],
+    [0x0eec9c0478077e4d, 0x25131072717b4ed7, 0x75edd3a9be284f46],
+    [0x5230cb17f1c48005, 0x9989f9ea8e231522, 0x9ab5291248a71aec],
+    [0x4046684835f76a37, 0xe0f938b4072bd388, 0x5d4abd671b1a082c],
+    [0x2c65e32a2593e1c9, 0x6f99cca1884ddb49, 0x626a4312735ed634],
+    [0xd68e1f61098b8ca8, 0x8f69111e849f26f6, 0x3f90097a505d2c43],
+    [0xde0dcb907098b472, 0x259cba8ab3e1d07f, 0xa0c5c4ac7ce0466e],
+    [0x04b55fd7652f1dc3, 0xe0b005098e6b2909, 0x3d8b8aee9dd67fd4],
+    [0x15788b0cc89c8543, 0x4040714aac8cda0c, 0xb473264afec7a9c8],
+    [0x68798bacda890361, 0xcf534038e1d00ceb, 0x2f252e0026a27428],
+    [0xbe945d6f5ca113a5, 0x575fdb352e3f1094, 0xf422558e2b4e0124],
+    [0xa88f746f71dd66a0, 0xe0acd97ad88362a1, 0xea1ef6d9474c238a],
+    [0xc088d8976c609a12, 0xa995c4d8dbbb2dcd, 0x14c0175b6b9bf54e],
+    [0xcba94cbcf8039376, 0xcc4806e20b077d32, 0x79403e0b70529155],
+    [0x09a48751e436f94a, 0xe57084c502f0c12c, 0xf2d48124a923bfda],
+    [0x8dc713990baff217, 0x04444bdb4d866163, 0x60b7425aee9515d7],
+    [0xd44d3f8ead1c4c9e, 0x68a316cd972b9a45, 0x98af193a6f81ec61],
+];
+
+/// Every simulated bit, every telemetry counter and every packet record
+/// of 48 random configurations (mesh and torus, XY and YX, 0–3 router
+/// stages, 1–3 VCs, depth 1–5, constant and piecewise schedules,
+/// Bernoulli and geometric injection, 1 and 2 shards) must reproduce the
+/// fingerprints captured on the straightforward simulator. In debug
+/// builds every skipped router step is also checked against the full
+/// front scan, so this suite exercises that oracle across the corners.
+#[test]
+fn random_configs_reproduce_pinned_fingerprints() {
+    let mut got = Vec::new();
+    for case in 0..GOLDEN_FUZZ.len() as u64 {
+        let plain = fuzz_network(case).run();
+        let mut sink = RingSink::new(1 << 20).with_packets();
+        let probed = fuzz_network(case).run_probed(&mut sink);
+        assert!(plain.semantic_eq(&probed), "case {case}: probe perturbed");
+        assert_eq!(sink.dropped(), 0);
+        let heat = sink.heatmaps().next().expect("heatmap emitted");
+        got.push([
+            report_fingerprint(&plain),
+            heatmap_fingerprint(heat),
+            packets_fingerprint(sink.packets()),
+        ]);
+    }
+    assert_eq!(got, GOLDEN_FUZZ, "\n{got:#x?}");
 }

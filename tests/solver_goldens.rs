@@ -16,6 +16,9 @@
 //! can miss it. They were captured before the window search began
 //! scoring permutations from a cost block.
 
+mod common;
+
+use common::fnv1a;
 use obm::mapping::algorithms::{
     DrawScratch, HybridSssSa, Mapper, MonteCarlo, RandomMapper, SimulatedAnnealing, SortSelectSwap,
 };
@@ -35,18 +38,6 @@ fn c1_on(n: usize) -> ObmInstance {
     let tiles = TileLatencies::paper_default(&Mesh::square(n));
     let (c, m) = workload.rate_vectors();
     ObmInstance::new(tiles, workload.boundaries(), c, m)
-}
-
-/// FNV-1a over a stream of 64-bit words.
-fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
 }
 
 /// FNV-1a over the tile indices of a mapping, in thread order.
