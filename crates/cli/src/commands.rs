@@ -670,7 +670,8 @@ pub fn exact_command(spec_text: &str, node_budget: u64) -> Result<String, String
 /// signature).
 pub struct SolveArgs<'a> {
     /// Comma-separated line-up (`sss,sa,hybrid,greedy,mc,exact`) or
-    /// `portfolio` for the default five-algorithm race.
+    /// `portfolio` for the objective's default line-up
+    /// ([`Algorithm::default_portfolio_for`]).
     pub algos: &'a str,
     /// Comma-separated seed list.
     pub seeds: &'a str,
@@ -690,9 +691,9 @@ pub struct SolveArgs<'a> {
     pub metrics: MetricsHandle,
 }
 
-fn portfolio_algorithms(names: &str) -> Result<Vec<Algorithm>, String> {
+fn portfolio_algorithms(names: &str, objective: ObjectiveSpec) -> Result<Vec<Algorithm>, String> {
     if names == "portfolio" {
-        return Ok(Algorithm::default_portfolio());
+        return Ok(Algorithm::default_portfolio_for(objective));
     }
     names
         .split(',')
@@ -736,9 +737,9 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
     let spec = InstanceSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let (spec, chip) = args.layout.apply(spec)?;
     let inst = spec.to_instance_for_layout(&chip);
-    let algorithms = portfolio_algorithms(args.algos)?;
-    let seeds = parse_seed_list(args.seeds)?;
     let objective: ObjectiveSpec = args.objective.parse()?;
+    let algorithms = portfolio_algorithms(args.algos, objective)?;
+    let seeds = parse_seed_list(args.seeds)?;
 
     // Registry-backed reporting: with no `--metrics` flag the passed
     // handle is disabled, so open a private registry — the parallelism
@@ -866,8 +867,9 @@ pub struct PlaceArgs<'a> {
     pub annealed: Option<usize>,
     /// Outer-search seed (also seeds the inner solver).
     pub seed: u64,
-    /// `--portfolio`: race the default solver portfolio on every
-    /// candidate layout instead of single sort-select-swap.
+    /// `--portfolio`: race the default min-max solver portfolio on every
+    /// candidate layout instead of single sort-select-swap (placement
+    /// scores max-APL, so it gets that objective's line-up).
     pub portfolio: bool,
     /// Worker threads for `--portfolio`.
     pub workers: Option<usize>,
@@ -1409,6 +1411,26 @@ thread 5.0 0.7
         // The checkpoint round-trips through the portfolio parser.
         let cp = obm_portfolio::Checkpoint::from_json(&checkpoint).expect("valid checkpoint");
         assert!(!cp.completed.is_empty());
+    }
+
+    #[test]
+    fn default_portfolio_follows_the_objective() {
+        let task_rows = |out: &str, algo: &str| {
+            out.lines()
+                .filter(|l| l.split_whitespace().nth(1) == Some(algo))
+                .count()
+        };
+        // min-max-apl: SSS and greedy once, SSS+SA and SA per seed, no MC.
+        let (out, _) =
+            solve_command(SPEC, &quick_solve_args("portfolio", None)).expect("solve succeeds");
+        assert!(out.contains("portfolio: 6 task(s)"), "{out}");
+        assert_eq!(task_rows(&out, "MC"), 0, "{out}");
+        // energy adds one MC task per seed.
+        let mut args = quick_solve_args("portfolio", None);
+        args.objective = "energy";
+        let (out, _) = solve_command(SPEC, &args).expect("solve succeeds");
+        assert!(out.contains("portfolio: 8 task(s)"), "{out}");
+        assert_eq!(task_rows(&out, "MC"), 2, "{out}");
     }
 
     #[test]

@@ -57,8 +57,11 @@ USAGE:
             [--deadline-ms N] [--max-evals N] [--workers N] [--aggressive]
             [--objective min-max-apl|max-min-balance|energy]
             [--checkpoint FILE] [--resume FILE]
+            --portfolio (the default) races the objective's line-up: SSS, SSS+SA, SA,
+            Greedy; max-min-balance and energy add MC
   obm place <spec-file> [--controllers K] [--topology mesh|torus]
             [--exhaustive | --annealed N] [--seed S] [--portfolio] [--workers N] [--grid]
+            --portfolio races the min-max line-up on every candidate layout
   obm latency [--mesh N] [--controllers corners|edges]
   obm status <snapshot-file>...                 render exported metrics snapshots
                                                 as an ASCII dashboard (merged)
@@ -341,7 +344,8 @@ fn run_command(
         }
         "solve" => {
             let spec = read(args.positional.first().ok_or("solve needs a spec file")?)?;
-            // `--portfolio` is an explicit spelling of the default line-up.
+            // `--portfolio` is an explicit spelling of the default line-up,
+            // which depends on `--objective`.
             let algos = if args.flag("portfolio").is_some() {
                 "portfolio"
             } else {

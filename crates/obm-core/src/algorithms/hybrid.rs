@@ -8,7 +8,7 @@
 //! cold (low initial temperature), making the hybrid strictly a refinement
 //! in practice.
 
-use crate::algorithms::{Mapper, SortSelectSwap};
+use crate::algorithms::{metropolis_accept, Mapper, SortSelectSwap};
 use crate::cancel::CancelToken;
 use crate::eval::{evaluate, IncrementalEvaluator};
 use crate::problem::{Mapping, ObmInstance};
@@ -90,7 +90,7 @@ impl Mapper for HybridSssSa {
             ev.swap_tiles(a, b);
             let cand = ev.max_apl();
             let delta = cand - cur;
-            if delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp() {
+            if metropolis_accept(delta, temp, &mut rng) {
                 cur = cand;
                 if cur < best {
                     best = cur;

@@ -27,6 +27,7 @@ use crate::cancel::CancelToken;
 use crate::objective::Objective;
 use crate::problem::{Mapping, ObmInstance};
 use noc_telemetry::Probe;
+use rand::Rng;
 
 /// A rejected iteration/sample budget (the builder-validation convention:
 /// constructors that used to `assert!` now have `try_*` twins returning
@@ -140,6 +141,16 @@ pub trait Mapper {
 /// refinement stops early once a sweep finds no improving exchange, so
 /// this is a ceiling, not a fixed cost.
 pub const OBJECTIVE_REFINE_PASSES: usize = 32;
+
+/// The Metropolis acceptance test shared by the annealers (SA, the SSS+SA
+/// hybrid and the annealed placement search): accept every non-worsening
+/// move, and a worsening one with probability `exp(−delta/temp)`. The
+/// uniform is drawn only for worsening moves; the solver goldens pin that
+/// draw order, so keep the expression as it is.
+#[inline]
+pub(crate) fn metropolis_accept<R: Rng>(delta: f64, temp: f64, rng: &mut R) -> bool {
+    delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp()
+}
 
 /// All 24 permutations of 4 window slots, used by the SSS sliding-window
 /// swap (Algorithm 2, Step 3) and enumerated in lexicographic order so the

@@ -6,7 +6,7 @@
 //! a thread to a free tile. Cooling is geometric; the iteration budget is
 //! the runtime knob the paper sweeps in Figure 12.
 
-use crate::algorithms::{random::RandomMapper, BudgetError, Mapper};
+use crate::algorithms::{metropolis_accept, random::RandomMapper, BudgetError, Mapper};
 use crate::cancel::CancelToken;
 use crate::eval::IncrementalEvaluator;
 use crate::problem::{Mapping, ObmInstance};
@@ -187,8 +187,7 @@ impl Mapper for SimulatedAnnealing {
             ev.swap_tiles(a, b);
             let cand = ev.max_apl();
             let delta = cand - cur;
-            let accept = delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp();
-            if accept {
+            if metropolis_accept(delta, temp, &mut rng) {
                 cur = cand;
                 accepted_since_last += 1;
                 if cur < best {

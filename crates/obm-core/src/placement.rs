@@ -22,6 +22,7 @@
 //! corner-default baseline so callers get the paper-default comparison
 //! for free.
 
+use crate::algorithms::metropolis_accept;
 use crate::cancel::CancelToken;
 use crate::eval::evaluate;
 use crate::problem::{Mapping, ObmInstance};
@@ -414,7 +415,9 @@ where
 
     /// Annealed outer loop: move one controller to a free tile per step,
     /// accept by Metropolis on the solved objective, track the best state
-    /// ever seen. Starts from the baseline placement.
+    /// ever seen. Starts from the baseline placement. With a controller
+    /// on every tile there is no free tile to move to and the baseline is
+    /// the only placement, so it is returned without proposing.
     fn run_annealed(
         &mut self,
         k: usize,
@@ -423,6 +426,9 @@ where
         baseline_objective: f64,
     ) -> Result<(Vec<TileId>, Option<Mapping>, f64), PlacementSearchError> {
         let n = self.mesh.num_tiles();
+        if k == n {
+            return Ok((baseline.to_vec(), None, baseline_objective));
+        }
         let mut rng = SmallRng::seed_from_u64(self.opts.seed);
         let mut state = baseline.to_vec();
         let mut cur = baseline_objective;
@@ -449,7 +455,7 @@ where
             cand.sort_unstable();
             let (mapping, objective) = self.score(&cand)?;
             let delta = objective - cur;
-            if delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp() {
+            if metropolis_accept(delta, temp, &mut rng) {
                 state = cand;
                 cur = objective;
                 if cur < best {
@@ -684,6 +690,22 @@ mod tests {
         let again = co_optimize(&inst, &mesh, &opts, sss_inner).expect("search runs");
         assert_eq!(again.layout.controllers(), out.layout.controllers());
         assert_eq!(again.objective, out.objective);
+    }
+
+    #[test]
+    fn annealed_mode_with_a_controller_on_every_tile_returns_the_baseline() {
+        // k == n leaves no free tile to move a controller to, so a
+        // proposal could never draw an unoccupied destination.
+        let mesh = Mesh::square(4);
+        let inst = fig5_workload(&mesh);
+        let mut opts = PlacementOptions::new(16);
+        opts.mode = SearchMode::Annealed { iterations: 5 };
+        let out = co_optimize(&inst, &mesh, &opts, sss_inner).expect("search runs");
+        assert!(!out.exhaustive);
+        assert_eq!(out.evaluated, 1);
+        assert_eq!(out.layout.controllers(), out.baseline_layout.controllers());
+        assert_eq!(out.objective, out.baseline_objective);
+        assert_eq!(out.mapping, out.baseline_mapping);
     }
 
     #[test]

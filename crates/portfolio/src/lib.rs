@@ -5,8 +5,10 @@
 //! Monte-Carlo, and optionally branch-and-bound — across scoped worker
 //! threads under a shared [`SolveBudget`] (wall-clock deadline and/or a
 //! deterministic evaluation cap), with cooperative cancellation and
-//! checkpoint/resume. The whole engine sits behind one request/outcome
-//! pair:
+//! checkpoint/resume. The default line-up depends on the objective
+//! ([`Algorithm::default_portfolio_for`]): SSS, SSS+SA, SA and greedy,
+//! plus Monte-Carlo for `max-min-balance` and `energy`. The whole engine
+//! sits behind one request/outcome pair:
 //!
 //! ```
 //! use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};

@@ -139,22 +139,34 @@ impl Algorithm {
         }
     }
 
-    /// The paper's heuristic line-up with default configurations: SSS,
-    /// hybrid, SA, greedy, MC — the recommended starting portfolio. MC
-    /// runs single-worker (the portfolio already owns the parallelism,
-    /// and `MonteCarlo::default()`'s machine-sized worker count would
-    /// make results machine-dependent).
+    /// The default line-up for the paper's min-max APL objective: SSS,
+    /// hybrid, SA, greedy. Same as
+    /// `default_portfolio_for(ObjectiveSpec::MinMaxApl)`.
     pub fn default_portfolio() -> Vec<Algorithm> {
-        vec![
+        Algorithm::default_portfolio_for(ObjectiveSpec::MinMaxApl)
+    }
+
+    /// The recommended line-up for `objective` (DESIGN.md §10.5): SSS,
+    /// hybrid, SA and greedy, in that rank order, plus Monte Carlo ranked
+    /// last for `max-min-balance` and `energy`. MC won none of the
+    /// measured min-max races but often wins the other two. MC runs
+    /// single-worker (the portfolio already owns the parallelism, and
+    /// `MonteCarlo::default()`'s machine-sized worker count would make
+    /// results machine-dependent).
+    pub fn default_portfolio_for(objective: ObjectiveSpec) -> Vec<Algorithm> {
+        let mut line_up = vec![
             Algorithm::SortSelectSwap(SortSelectSwap::default()),
             Algorithm::HybridSssSa(HybridSssSa::default()),
             Algorithm::SimulatedAnnealing(SimulatedAnnealing::default()),
             Algorithm::BalancedGreedy,
-            Algorithm::MonteCarlo(MonteCarlo {
+        ];
+        if !objective.is_min_max_apl() {
+            line_up.push(Algorithm::MonteCarlo(MonteCarlo {
                 workers: 1,
                 ..MonteCarlo::default()
-            }),
-        ]
+            }));
+        }
+        line_up
     }
 }
 

@@ -1,7 +1,7 @@
 //! Racing the solver portfolio — the `SolveRequest`/`SolveOutcome` API.
 //!
 //! Builds a paper C1 instance (8×8 mesh, four 16-thread applications),
-//! races the default five-algorithm line-up across four workers under a
+//! races the default min-max line-up across four workers under a
 //! wall-clock deadline, prints the per-task scoreboard, and then resumes
 //! the run from its own checkpoint to show that injected results replace
 //! re-running.

@@ -12,7 +12,9 @@
 #                         benchmark fails here
 #   4. examples         — every example must build *and* run to completion
 #   5. determinism      — the portfolio engine's worker-count-invariance
-#                         suite, the batch-evaluation suite (eval_many ≡
+#                         suite, the default line-up's guard (min-max
+#                         winner without MC ≡ the five-member race's),
+#                         the batch-evaluation suite (eval_many ≡
 #                         scratch evaluate bitwise + pinned solver goldens,
 #                         plus the goldens for SSS windows 2/3/5/6, MC on
 #                         spare tiles and 2 workers, SA restarts, the SSS
@@ -51,7 +53,11 @@
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
 #                         one of its mappings gets a repeated tile, and
 #                         `obm solve --resume` must exit 0, re-running
-#                         the damaged task and resuming the intact one
+#                         the damaged task and resuming the intact one;
+#                         line-up smoke: the default `obm solve` race
+#                         follows the objective — 4 tasks and no MC row
+#                         under min-max-apl on one seed, 5 tasks with
+#                         one MC row under `--objective energy`
 #   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
 #                         BENCH_PR10.json` guards the simulator hot
 #                         loop: the disabled metrics path is priced by
@@ -121,6 +127,9 @@ echo "==> portfolio determinism suite (release)"
 # codegen that optimizations pick must not change the pinned bits.
 cargo test -q --release -p obm-portfolio
 cargo test -q --release --test portfolio
+# The objective-aware default line-up: without MC the min-max race keeps
+# the five-member race's winner bit for bit (release adds workload seeds).
+cargo test -q --release --test portfolio_lineup
 
 echo "==> batch-evaluation determinism suite (release)"
 # The batched SoA engine's contract — eval_many bit-identical to the
@@ -261,6 +270,24 @@ resumed=$(grep -c '(resumed)' "$smokedir/resume.txt" || true)
 [[ "$resumed" -eq 1 ]] \
     || { echo "resume smoke: expected 1 resumed task, got $resumed"; exit 1; }
 echo "--> resume: damaged entry re-ran, intact entry resumed"
+
+echo "==> CLI line-up smoke: the default portfolio follows the objective"
+# Monte Carlo never wins a min-max race, so the default min-max line-up
+# leaves it out; max-min-balance and energy keep it (DESIGN.md §10.5).
+lineup_check() {
+    local want_tasks=$1 want_mc=$2 out=$3
+    grep -q "^portfolio: $want_tasks task(s)" "$out" \
+        || { echo "line-up smoke: expected $want_tasks tasks in $out"; exit 1; }
+    local mc
+    mc=$(grep -cE '^ +[0-9]+ +MC ' "$out" || true)
+    [[ "$mc" -eq "$want_mc" ]] \
+        || { echo "line-up smoke: expected $want_mc MC rows in $out, got $mc"; exit 1; }
+}
+"$obm" solve "$smokedir/c1.spec" --seeds 0 > "$smokedir/lineup_minmax.txt"
+lineup_check 4 0 "$smokedir/lineup_minmax.txt"
+"$obm" solve "$smokedir/c1.spec" --seeds 0 --objective energy > "$smokedir/lineup_energy.txt"
+lineup_check 5 1 "$smokedir/lineup_energy.txt"
+echo "--> line-up: min-max races 4 tasks without MC, energy 5 with MC"
 
 echo "==> bench snapshot regression gate (PR 9 -> PR 10)"
 # Compares the committed snapshots; raw ns/iter labels may not regress
