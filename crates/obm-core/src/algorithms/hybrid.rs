@@ -66,8 +66,26 @@ impl Mapper for HybridSssSa {
         probe: &mut dyn Probe,
     ) -> Option<Mapping> {
         // The SSS seed pass polls between its own passes; the refinement
-        // loop below polls every CANCEL_POLL_MASK+1 moves.
+        // polls every CANCEL_POLL_MASK+1 moves.
         let init = self.sss.map_cancellable(inst, seed, token, probe)?;
+        self.refine(inst, init, seed, token)
+    }
+}
+
+impl HybridSssSa {
+    /// The annealing half of the hybrid: refine `init` (the SSS pass's
+    /// mapping under `self.sss`) with a cold anneal seeded by `seed`.
+    /// `map_cancellable` is the SSS pass followed by this, so a caller
+    /// that already holds the pass's mapping (the portfolio shares one
+    /// pass per race) gets the same result without re-running SSS.
+    /// Returns `None` once `token` fires; emits no solver events.
+    pub fn refine(
+        &self,
+        inst: &ObmInstance,
+        init: Mapping,
+        seed: u64,
+        token: &CancelToken,
+    ) -> Option<Mapping> {
         let init_val = evaluate(inst, &init).max_apl;
         let mut ev = IncrementalEvaluator::new(inst, init.clone());
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5555_aaaa);
@@ -161,6 +179,20 @@ mod tests {
         assert_eq!(
             h.map_cancellable(&inst, 3, &CancelToken::never(), &mut NoopSink),
             Some(h.map(&inst, 3))
+        );
+    }
+
+    #[test]
+    fn map_is_the_sss_pass_then_refine() {
+        let inst = instance(4);
+        let h = HybridSssSa {
+            sa_iterations: 2_000,
+            ..Default::default()
+        };
+        let init = h.sss.map(&inst, 9);
+        assert_eq!(
+            h.refine(&inst, init, 9, &CancelToken::never()),
+            Some(h.map(&inst, 9))
         );
     }
 

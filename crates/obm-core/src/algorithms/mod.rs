@@ -142,14 +142,45 @@ pub trait Mapper {
 /// this is a ceiling, not a fixed cost.
 pub const OBJECTIVE_REFINE_PASSES: usize = 32;
 
+/// `delta/temp` beyond which [`metropolis_accept`] decides without `exp`.
+const METROPOLIS_TAIL: f64 = 40.0;
+
 /// The Metropolis acceptance test shared by the annealers (SA, the SSS+SA
 /// hybrid and the annealed placement search): accept every non-worsening
-/// move, and a worsening one with probability `exp(−delta/temp)`. The
-/// uniform is drawn only for worsening moves; the solver goldens pin that
-/// draw order, so keep the expression as it is.
+/// move, and a worsening one with probability `exp(−delta/temp)`.
+///
+/// Bit-identical to `delta <= 0.0 || rng.gen::<f64>() < (-delta /
+/// temp).exp()`, RNG stream included, for every `delta` and every `temp`
+/// that is NaN or carries a clear sign bit (the annealers' temperatures
+/// are positive by construction). The uniform is drawn for every
+/// worsening move and only for those; the solver goldens pin that draw
+/// order. Deep in the tail, `delta > 40·temp`, libm's `exp` runs only
+/// when the draw is exactly 0:
+///
+/// - `u = (w >> 11)·2⁻⁵³`, so a non-zero `u` is at least 2⁻⁵³.
+/// - `40·temp` and `delta/temp` are each rounded once, with relative
+///   error at most 2⁻⁵³ (a subnormal product is exact, the quotient
+///   exceeds 40, and an overflow to ∞ only makes `exp` smaller). So
+///   `x = −delta/temp < −40·(1 − 2⁻⁵¹)`, and `exp(x) < 4.3·10⁻¹⁸ <
+///   2⁻⁵⁷`, with room for libm's sub-ulp error.
+/// - Hence `u < exp(x)` is false for every non-zero `u`, and for `u = 0`
+///   the full test `0 < exp(x)` is still evaluated.
+///
+/// `temp = +0` lands in the tail (`exp(−∞) = 0`); NaN and infinite
+/// `temp` fail the tail compare and take the full test. The tail branch
+/// is a multiply and a compare: testing the quotient instead puts the
+/// division ahead of the branch and measured slower. `tests/oracles.rs`
+/// checks the boundary words against the expression.
 #[inline]
-pub(crate) fn metropolis_accept<R: Rng>(delta: f64, temp: f64, rng: &mut R) -> bool {
-    delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp()
+pub fn metropolis_accept<R: Rng>(delta: f64, temp: f64, rng: &mut R) -> bool {
+    if delta <= 0.0 {
+        return true;
+    }
+    let u = rng.gen::<f64>();
+    if delta > METROPOLIS_TAIL * temp {
+        return u == 0.0 && (-delta / temp).exp() > 0.0;
+    }
+    u < (-delta / temp).exp()
 }
 
 /// All 24 permutations of 4 window slots, used by the SSS sliding-window

@@ -116,8 +116,8 @@ impl Mapper for SimulatedAnnealing {
             panic!("SimulatedAnnealing::map: {e}");
         }
         if self.restarts > 1 {
-            // Restarts run on crossbeam scope threads, and `&mut dyn Probe`
-            // cannot be shared across them (no Sync bound, and interleaved
+            // Restarts run on scoped threads, and `&mut dyn Probe` cannot
+            // be shared across them (no Sync bound, and interleaved
             // events from concurrent restarts would be meaningless anyway),
             // so the parallel path emits no solver events. Probe a
             // single-restart configuration to trace the annealing schedule.
@@ -125,7 +125,8 @@ impl Mapper for SimulatedAnnealing {
             // token is shared, so one deadline stops every restart. A
             // cancelled restart poisons the whole run (all-or-nothing keeps
             // the result independent of which restart was interrupted).
-            let results = crossbeam::thread::scope(|scope| {
+            // A restart's panic is re-raised unchanged in the caller.
+            let results = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..self.restarts)
                     .map(|r| {
                         let cfg = SimulatedAnnealing {
@@ -134,7 +135,7 @@ impl Mapper for SimulatedAnnealing {
                         };
                         let rseed =
                             seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1));
-                        scope.spawn(move |_| {
+                        scope.spawn(move || {
                             let m = cfg.map_cancellable(inst, rseed, token, &mut NoopSink)?;
                             let v = crate::eval::evaluate(inst, &m).max_apl;
                             Some((v, m))
@@ -143,10 +144,9 @@ impl Mapper for SimulatedAnnealing {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.join().expect("SA restart panicked"))
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                     .collect::<Vec<_>>()
-            })
-            .expect("crossbeam scope");
+            });
             let mut best: Option<(f64, Mapping)> = None;
             for r in results {
                 let (v, m) = r?;

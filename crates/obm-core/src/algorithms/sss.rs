@@ -45,7 +45,7 @@ pub enum SelectionRule {
 }
 
 /// The sort-select-swap mapper.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SortSelectSwap {
     /// Sliding-window size (paper: 4). 1 disables swapping; sizes up to
     /// [`IncrementalEvaluator::MAX_WINDOW`] (6) are supported (w!

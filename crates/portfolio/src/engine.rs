@@ -29,14 +29,20 @@
 //! per-task and replayed in rank order after the race, with incumbent
 //! values recomputed during the replay — the emitted stream matches what
 //! a sequential run would have produced.
+//!
+//! SSS ignores its seed, so one race runs each distinct SSS configuration
+//! once: the SSS task and every SSS+SA hybrid with that configuration
+//! share the pass's mapping and buffered events ([`SharedSss`], DESIGN.md
+//! §10.6).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use noc_telemetry::{Probe, SolverEvent};
-use obm_core::algorithms::{BalancedGreedy, Mapper, OBJECTIVE_REFINE_PASSES};
+use obm_core::algorithms::{BalancedGreedy, Mapper, SortSelectSwap, OBJECTIVE_REFINE_PASSES};
 use obm_core::{
-    evaluate, refine_for_objective, BatchEvaluator, Mapping, ObjectiveSpec, ObmInstance,
+    evaluate, refine_for_objective, BatchEvaluator, CancelToken, Mapping, ObjectiveSpec,
+    ObmInstance,
 };
 
 use crate::checkpoint::{mapping_from_tiles, Checkpoint, CompletedTask, Fingerprint};
@@ -111,6 +117,59 @@ impl Probe for BufferProbe {
         if self.enabled {
             self.events.push(event.clone());
         }
+    }
+}
+
+/// One SSS pass per distinct [`SortSelectSwap`] configuration in a race.
+/// SSS ignores its seed, so the SSS task and every hybrid with this
+/// configuration would compute the same mapping and events; the first
+/// task to need them runs the pass and the others block on the
+/// `OnceLock` until it is done.
+struct SharedSss {
+    cfg: SortSelectSwap,
+    /// The pass's mapping (`None`: the token fired during the pass) and
+    /// its buffered solver events.
+    pass: OnceLock<(Option<Mapping>, Vec<SolverEvent>)>,
+}
+
+/// The SSS configuration a task starts from, if it runs an SSS pass.
+fn sss_config(algo: &Algorithm) -> Option<SortSelectSwap> {
+    match algo {
+        Algorithm::SortSelectSwap(cfg) => Some(*cfg),
+        Algorithm::HybridSssSa(h) => Some(h.sss),
+        _ => None,
+    }
+}
+
+/// Run one task into `buf`. SSS and hybrid tasks take their SSS pass from
+/// `shared` (running it if no task has yet) and copy its events; the
+/// hybrid then anneals from the pass's mapping. The result equals
+/// `t.algo.run`'s, which the other algorithms go through.
+fn run_task(
+    t: &Task,
+    inst: &ObmInstance,
+    token: &CancelToken,
+    buf: &mut BufferProbe,
+    incumbent: Option<f64>,
+    shared: &[SharedSss],
+) -> Option<Mapping> {
+    let entry = sss_config(&t.algo).and_then(|cfg| shared.iter().find(|s| s.cfg == cfg));
+    let Some(entry) = entry else {
+        return t.algo.run(inst, t.seed, token, buf, incumbent);
+    };
+    let (mapping, events) = entry.pass.get_or_init(|| {
+        let mut pass = BufferProbe {
+            enabled: buf.enabled,
+            events: Vec::new(),
+        };
+        let m = entry.cfg.map_cancellable(inst, t.seed, token, &mut pass);
+        (m, pass.events)
+    });
+    buf.events.extend_from_slice(events);
+    let init = mapping.clone()?;
+    match &t.algo {
+        Algorithm::HybridSssSa(h) => h.refine(inst, init, t.seed, token),
+        _ => Some(init),
     }
 }
 
@@ -279,6 +338,17 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
         .collect();
     let slots: Mutex<Vec<Option<TaskResult>>> =
         Mutex::new((0..runnable.len()).map(|_| None).collect());
+    let mut shared: Vec<SharedSss> = Vec::new();
+    for &i in &runnable {
+        if let Some(cfg) = sss_config(&tasks[i].algo) {
+            if shared.iter().all(|s| s.cfg != cfg) {
+                shared.push(SharedSss {
+                    cfg,
+                    pass: OnceLock::new(),
+                });
+            }
+        }
+    }
     let workers = req.workers.min(runnable.len());
     if workers > 0 {
         // Build the instance's eval tables once before the race so no
@@ -294,6 +364,7 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
         let token_ref = &token;
         let bound_ref = &bound;
         let metrics_ref = &req.metrics;
+        let shared_ref = &shared[..];
         let aggressive = req.aggressive_pruning;
         // The vendored scope wraps std scoped threads: worker panics
         // propagate on scope exit, and the Ok wrapper is unconditional.
@@ -321,7 +392,7 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
                         .then(|| bound_ref.load())
                         .filter(|b| b.is_finite());
                     let started = std::time::Instant::now();
-                    if let Some(m) = t.algo.run(inst, t.seed, token_ref, &mut buf, incumbent) {
+                    if let Some(m) = run_task(t, inst, token_ref, &mut buf, incumbent, shared_ref) {
                         // Every algorithm searches the min-max landscape
                         // natively; under another objective each result
                         // is polished by the same deterministic exchange
@@ -350,21 +421,11 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
 
     // Collect per-task results: fresh runs from the slots, resumed tasks
     // from the checkpoint.
-    let fresh = lock(&slots);
+    let fresh = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut results: Vec<Option<TaskResult>> = tasks.iter().map(|_| None).collect();
-    for (slot, &task_idx) in runnable.iter().enumerate() {
-        // Slots are written at most once; taking them out of the guard
-        // would need &mut, so rebuild by value from the locked Vec.
-        if let Some(r) = &fresh[slot] {
-            results[task_idx] = Some(TaskResult {
-                value: r.value,
-                mapping: r.mapping.clone(),
-                events: r.events.clone(),
-                wall_nanos: r.wall_nanos,
-            });
-        }
+    for (r, &task_idx) in fresh.into_iter().zip(&runnable) {
+        results[task_idx] = r;
     }
-    drop(fresh);
     for (i, t) in tasks.iter().enumerate() {
         if let Some((value, m)) = &t.resumed {
             results[i] = Some(TaskResult {
@@ -459,6 +520,8 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
             .map(|s| s.evaluations)
             .sum();
         metrics.add("portfolio_evals_total", completed_evals);
+        let sss_passes = shared.iter().filter(|s| s.pass.get().is_some()).count();
+        metrics.add("portfolio_sss_passes_total", sss_passes as u64);
         // Incumbent improvements as a sequential rank-order scan — the
         // same stream the probe replay emits, counted unconditionally.
         let mut incumbent = f64::INFINITY;
@@ -588,7 +651,6 @@ mod tests {
     use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
     use noc_telemetry::{Record, RingSink};
     use obm_core::algorithms::{MonteCarlo, SimulatedAnnealing, SortSelectSwap};
-    use obm_core::CancelToken;
 
     fn fig5_instance() -> ObmInstance {
         let mesh = Mesh::square(4);

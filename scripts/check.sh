@@ -57,7 +57,10 @@
 #                         line-up smoke: the default `obm solve` race
 #                         follows the objective — 4 tasks and no MC row
 #                         under min-max-apl on one seed, 5 tasks with
-#                         one MC row under `--objective energy`
+#                         one MC row under `--objective energy`;
+#                         shared-pass smoke: the default four-seed
+#                         race runs one SSS pass
+#                         (portfolio_sss_passes_total = 1)
 #   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
 #                         BENCH_PR10.json` guards the simulator hot
 #                         loop: the disabled metrics path is priced by
@@ -243,7 +246,7 @@ done
 OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" --algos sss,greedy \
     --seeds 0 --metrics "$smokedir/solve.prom" >/dev/null
 for family in portfolio_solves_total portfolio_tasks_total \
-    portfolio_evals_total portfolio_workers; do
+    portfolio_evals_total portfolio_sss_passes_total portfolio_workers; do
     grep -q "^$family " "$smokedir/solve.prom" \
         || { echo "metrics family $family missing from solve snapshot"; exit 1; }
 done
@@ -288,6 +291,20 @@ lineup_check 4 0 "$smokedir/lineup_minmax.txt"
 "$obm" solve "$smokedir/c1.spec" --seeds 0 --objective energy > "$smokedir/lineup_energy.txt"
 lineup_check 5 1 "$smokedir/lineup_energy.txt"
 echo "--> line-up: min-max races 4 tasks without MC, energy 5 with MC"
+
+echo "==> CLI shared-pass smoke: one SSS pass per default race"
+# SSS ignores its seed, so the default four-seed race runs one SSS pass
+# and hands it to the SSS task and all four SSS+SA hybrids (DESIGN.md
+# §10.6); portfolio_sss_passes_total counts the passes that ran.
+"$obm" solve "$smokedir/c1.spec" --metrics "$smokedir/shared.prom" \
+    > "$smokedir/shared.txt"
+hybrids=$(grep -cE '^ +[0-9]+ +SSS\+SA ' "$smokedir/shared.txt" || true)
+[[ "$hybrids" -eq 4 ]] \
+    || { echo "shared-pass smoke: expected 4 SSS+SA rows, got $hybrids"; exit 1; }
+passes=$(grep -E '^portfolio_sss_passes_total ' "$smokedir/shared.prom" | cut -d' ' -f2)
+[[ "$passes" == "1" ]] \
+    || { echo "shared-pass smoke: expected 1 SSS pass, got '$passes'"; exit 1; }
+echo "--> shared pass: 1 SSS pass served the SSS task and $hybrids hybrids"
 
 echo "==> bench snapshot regression gate (PR 9 -> PR 10)"
 # Compares the committed snapshots; raw ns/iter labels may not regress

@@ -14,8 +14,13 @@
 //!   must agree after every window.
 //! - `ChipLayout` hop counts and `TileLatencies::for_layout` on meshes and
 //!   tori with failed links against an independent Floyd–Warshall.
+//! - The annealers' `metropolis_accept`, which skips `exp` deep in the
+//!   tail, against the expression it replaced, on fixed RNG words at the
+//!   decision boundary: same decision, same number of draws.
 
-use obm::mapping::algorithms::{BranchAndBound, BruteForce, Mapper, RandomMapper};
+use obm::mapping::algorithms::{
+    metropolis_accept, BranchAndBound, BruteForce, Mapper, RandomMapper,
+};
 use obm::mapping::{
     evaluate, CancelToken, IncrementalEvaluator, Mapping, ObjectiveSpec, ObmInstance,
 };
@@ -26,7 +31,7 @@ use obm::model::{
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Strategy: a `rows × cols` mesh of at most 9 tiles with 2–3
 /// applications, 0–2 spare tiles and positive rates.
@@ -392,5 +397,115 @@ proptest! {
             Some(tile) => prop_assert_eq!(result, Err(PlacementError::Disconnected { tile })),
             None => check_layout_against(&result.unwrap(), &dist),
         }
+    }
+}
+
+/// An RNG that returns one fixed word forever and counts its draws.
+struct FixedWord {
+    word: u64,
+    draws: u64,
+}
+
+impl RngCore for FixedWord {
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.word
+    }
+}
+
+/// The Metropolis test the annealers ran before the deep-tail shortcut.
+fn reference_accept(delta: f64, temp: f64, rng: &mut impl Rng) -> bool {
+    delta <= 0.0 || rng.gen::<f64>() < (-delta / temp).exp()
+}
+
+/// Words whose uniform `u = (w >> 11)·2⁻⁵³` sits at the acceptance
+/// boundary of `(delta, temp)`: 0, the smallest non-zero draws, the top
+/// draw, and the draws next to `exp(−delta/temp)·2⁵³`; each with the
+/// low 11 bits clear and set.
+fn boundary_words(delta: f64, temp: f64) -> Vec<u64> {
+    const TOP: u64 = (1 << 53) - 1;
+    let mut mantissas = vec![0, 1, 2, 3, TOP];
+    let p = (-delta / temp).exp();
+    if p.is_finite() && p > 0.0 {
+        let m = (p * (1u64 << 53) as f64).floor().min(TOP as f64) as u64;
+        mantissas.extend((m.saturating_sub(2)..=m.saturating_add(2)).map(|k| k.min(TOP)));
+    }
+    mantissas
+        .into_iter()
+        .flat_map(|k| [k << 11, (k << 11) | 0x7ff])
+        .collect()
+}
+
+/// Check `metropolis_accept` against the reference on every boundary word
+/// of `(delta, temp)`: same decision, same number of draws.
+fn check_metropolis(delta: f64, temp: f64) {
+    for word in boundary_words(delta, temp) {
+        let mut fast = FixedWord { word, draws: 0 };
+        let mut slow = FixedWord { word, draws: 0 };
+        assert_eq!(
+            metropolis_accept(delta, temp, &mut fast),
+            reference_accept(delta, temp, &mut slow),
+            "delta {delta:e}, temp {temp:e}, word {word:#018x}"
+        );
+        assert_eq!(
+            fast.draws, slow.draws,
+            "draw count: delta {delta:e}, temp {temp:e}"
+        );
+    }
+}
+
+#[test]
+fn metropolis_tail_shortcut_matches_the_reference() {
+    let temps = [
+        f64::from_bits(1),
+        1e-310,
+        f64::MIN_POSITIVE,
+        1e-9,
+        0.0137,
+        1.0,
+        3.5,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+        0.0,
+        f64::NAN,
+    ];
+    let fixed = [
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        1e-310,
+        -1e-310,
+        1.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for temp in temps {
+        let tail = 40.0 * temp;
+        let mut deltas = vec![tail, tail.next_up(), tail.next_down()];
+        deltas.push(tail.next_up().next_up());
+        deltas.push(tail.next_down().next_down());
+        // Exponents from the accepting bulk through both cutoffs and the
+        // point where 2⁻⁵³ first exceeds exp(x) (x ≈ −36.7) into the deep
+        // tail and exp's underflow to 0.
+        for k in [
+            0.5, 1.0, 10.0, 29.9, 30.0, 31.0, 35.0, 36.7, 36.8, 39.99, 41.0, 745.2,
+        ] {
+            deltas.push(k * temp);
+        }
+        deltas.extend(fixed);
+        for delta in deltas {
+            check_metropolis(delta, temp);
+        }
+    }
+    // Random ratios across both sides of the cutoff, at annealing-scale
+    // temperatures.
+    let mut rng = SmallRng::seed_from_u64(0x6d65_7472);
+    for _ in 0..20_000 {
+        let temp = 10f64.powf(rng.gen_range(-12.0..6.0));
+        let delta = temp * rng.gen_range(0.0..60.0);
+        check_metropolis(delta, temp);
     }
 }

@@ -1,15 +1,21 @@
 //! Facade-level integration tests for the portfolio engine: the
 //! determinism contract (worker count never changes the answer, and a
 //! 1-worker race is bit-identical to the sequential best-of loop it
-//! replaces), budget/deadline/cancellation semantics, and checkpoint
-//! resume — all through the public `obm::prelude` API.
+//! replaces), budget/deadline/cancellation semantics, checkpoint
+//! resume, and the race's shared SSS pass (identical to running every
+//! task alone) — all through the public `obm::prelude` API.
 
 use std::time::Duration;
 
-use obm::mapping::algorithms::{Mapper, SimulatedAnnealing, SortSelectSwap};
+use obm::mapping::algorithms::{
+    BalancedGreedy, HybridSssSa, Mapper, SimulatedAnnealing, SortSelectSwap,
+};
 use obm::mapping::{evaluate, CancelToken, Mapping, ObmInstance};
+use obm::metrics::MetricsRegistry;
 use obm::model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
-use obm::prelude::{Algorithm, SolveRequest, Termination};
+use obm::portfolio::CompletedTask;
+use obm::prelude::{Algorithm, Checkpoint, SolveOutcome, SolveRequest, Termination};
+use obm::telemetry::{Probe, RingSink, SolverEvent};
 use obm::workload::{PaperConfig, WorkloadBuilder};
 use proptest::prelude::*;
 
@@ -212,4 +218,204 @@ fn checkpoint_resume_reproduces_the_outcome() {
     assert_eq!(resumed.winner_seed, first.winner_seed);
     assert_eq!(resumed.mapping.as_slice(), first.mapping.as_slice());
     assert!(resumed.stats.iter().all(|s| s.resumed));
+}
+
+/// `obm solve`'s default seed list.
+const DEFAULT_SEEDS: [u64; 4] = [0, 1, 2, 3];
+
+/// Run one task alone through its public mapper, streaming its events.
+fn run_alone(algo: &Algorithm, inst: &ObmInstance, seed: u64, probe: &mut dyn Probe) -> Mapping {
+    match algo {
+        Algorithm::SortSelectSwap(m) => m.map_probed(inst, seed, probe),
+        Algorithm::HybridSssSa(m) => m.map_probed(inst, seed, probe),
+        Algorithm::SimulatedAnnealing(m) => m.map_probed(inst, seed, probe),
+        Algorithm::BalancedGreedy => BalancedGreedy.map_probed(inst, seed, probe),
+        Algorithm::MonteCarlo(m) => m.map_probed(inst, seed, probe),
+        Algorithm::Exact(m) => m.map_probed(inst, seed, probe),
+    }
+}
+
+/// A stats row without its wall-clock fields: (task, algo, seed,
+/// objective bits, evaluations, resumed).
+type StatsRow = (u64, &'static str, u64, Option<u64>, u64, bool);
+
+/// What a race must report, rebuilt by running every (algorithm × seed)
+/// task alone in rank order and merging the sequential way.
+struct Reference {
+    winner: (u64, &'static str, u64, Vec<usize>),
+    stats: Vec<StatsRow>,
+    completed: Vec<CompletedTask>,
+    events: Vec<SolverEvent>,
+}
+
+fn reference(inst: &ObmInstance, line_up: &[Algorithm], seeds: &[u64]) -> Reference {
+    let mut stats = Vec::new();
+    let mut completed = Vec::new();
+    let mut events = Vec::new();
+    let mut best: Option<(f64, usize, Mapping)> = None;
+    let mut rank = 0u64;
+    for algo in line_up {
+        let task_seeds = if algo.seeded() { seeds } else { &seeds[..1] };
+        for &seed in task_seeds {
+            let mut sink = RingSink::new(1 << 20);
+            let m = run_alone(algo, inst, seed, &mut sink);
+            let v = evaluate(inst, &m).max_apl;
+            let incumbent = best.as_ref().map_or(f64::INFINITY, |b| b.0);
+            events.push(SolverEvent::WorkerStarted {
+                task: rank,
+                algo: algo.name().to_string(),
+                seed,
+                incumbent,
+            });
+            events.extend(sink.solver_events().cloned());
+            if v.total_cmp(&incumbent) == std::cmp::Ordering::Less {
+                events.push(SolverEvent::IncumbentImproved {
+                    task: rank,
+                    objective: v,
+                });
+                best = Some((v, stats.len(), m.clone()));
+            } else {
+                events.push(SolverEvent::WorkerPruned {
+                    task: rank,
+                    objective: v,
+                    incumbent,
+                });
+            }
+            let evaluations = algo.nominal_evals(inst);
+            stats.push((
+                rank,
+                algo.name(),
+                seed,
+                Some(v.to_bits()),
+                evaluations,
+                false,
+            ));
+            completed.push(CompletedTask {
+                task: rank,
+                algo: algo.name().to_string(),
+                seed,
+                objective: v,
+                evaluations,
+                mapping: m.as_slice().iter().map(|k| k.0).collect(),
+            });
+            rank += 1;
+        }
+    }
+    let (v, i, m) = best.expect("a non-empty line-up");
+    let (_, name, seed, ..) = stats[i];
+    Reference {
+        winner: (
+            v.to_bits(),
+            name,
+            seed,
+            m.as_slice().iter().map(|k| k.0).collect(),
+        ),
+        stats,
+        completed,
+        events,
+    }
+}
+
+/// Race `line_up` on every combination of worker count and probe, and
+/// check each race against running its tasks alone. Returns the number
+/// of SSS passes each race ran.
+fn check_against_tasks_alone(inst: &ObmInstance, line_up: &[Algorithm]) -> Vec<u64> {
+    let want = reference(inst, line_up, &DEFAULT_SEEDS);
+    let mut passes = Vec::new();
+    for workers in [1usize, 2] {
+        for probed in [false, true] {
+            let registry = MetricsRegistry::new();
+            let req = SolveRequest::builder(inst)
+                .algorithms(line_up.iter().copied())
+                .seeds(DEFAULT_SEEDS)
+                .workers(workers)
+                .metrics(registry.handle())
+                .build()
+                .expect("valid request");
+            let mut sink = RingSink::new(1 << 20);
+            let out: SolveOutcome = if probed {
+                req.solve_probed(&mut sink)
+            } else {
+                req.solve()
+            };
+            let label = format!("{workers} worker(s), probe {probed}");
+            assert_eq!(out.termination, Termination::Completed, "{label}");
+            let winner = (
+                out.objective.to_bits(),
+                out.winner,
+                out.winner_seed,
+                out.mapping
+                    .as_slice()
+                    .iter()
+                    .map(|k| k.0)
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(winner, want.winner, "{label}: winner");
+            let stats: Vec<StatsRow> = out
+                .stats
+                .iter()
+                .map(|s| {
+                    let objective = s.objective.map(f64::to_bits);
+                    (s.task, s.algo, s.seed, objective, s.evaluations, s.resumed)
+                })
+                .collect();
+            assert_eq!(stats, want.stats, "{label}: stats");
+            let expected = Checkpoint {
+                fingerprint: out.checkpoint.fingerprint,
+                completed: want.completed.clone(),
+            };
+            assert_eq!(
+                out.checkpoint.to_json(),
+                expected.to_json(),
+                "{label}: checkpoint"
+            );
+            let events: Vec<SolverEvent> = sink.solver_events().cloned().collect();
+            if probed {
+                assert_eq!(events, want.events, "{label}: replayed events");
+            } else {
+                assert!(events.is_empty(), "{label}: unprobed race emitted events");
+            }
+            passes.push(
+                registry
+                    .handle()
+                    .counter_value("portfolio_sss_passes_total")
+                    .expect("the race publishes its SSS pass count"),
+            );
+        }
+    }
+    passes
+}
+
+/// The default line-up over four seeds runs one SSS pass, shared by the
+/// SSS task and the four hybrids, and still reports exactly what running
+/// each task alone gives: winner, stats, checkpoint and event stream, on
+/// one and two workers, probed or not.
+#[test]
+fn shared_sss_pass_matches_every_task_run_alone() {
+    let inst = c1_instance();
+    let passes = check_against_tasks_alone(&inst, &Algorithm::default_portfolio());
+    assert_eq!(passes, [1, 1, 1, 1]);
+}
+
+/// A hybrid whose SSS configuration differs from the SSS task's (here the
+/// window) cannot share its pass: the race runs two, and each task still
+/// matches its run alone.
+#[test]
+fn distinct_sss_configs_run_separate_passes() {
+    let inst = c1_instance();
+    let narrow = SortSelectSwap {
+        window: 3,
+        ..SortSelectSwap::default()
+    };
+    let line_up = [
+        Algorithm::SortSelectSwap(SortSelectSwap::default()),
+        Algorithm::HybridSssSa(HybridSssSa {
+            sss: narrow,
+            sa_iterations: 2_000,
+            ..HybridSssSa::default()
+        }),
+        Algorithm::BalancedGreedy,
+    ];
+    let passes = check_against_tasks_alone(&inst, &line_up);
+    assert_eq!(passes, [2, 2, 2, 2]);
 }
