@@ -180,7 +180,10 @@ pub fn run_with_metrics(
         total_evals as f64 * 1e9 / total_eval_nanos.max(1) as f64,
     );
     metrics.gauge_set("pool_effective_workers", pool::effective_workers() as f64);
-    metrics.gauge_set("pool_detected_cores", pool::detected_cores() as f64);
+    metrics.gauge_set(
+        "pool_detected_cores",
+        obm_core::pool::detected_cores() as f64,
+    );
     metrics.gauge_set("sim_shards_env", noc_sim::env_shards().unwrap_or(1) as f64);
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
     let agg_cps = gauge("validate_sim_cycles_per_sec");

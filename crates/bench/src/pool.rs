@@ -1,23 +1,12 @@
-//! Shared work-stealing worker pool for the sweep layer.
+//! The sweep layer's worker budget.
 //!
 //! Every simulation-backed experiment fans a grid of independent seeded
-//! runs (portfolio × sweep point × replication) out to threads. The old
-//! scheme spawned one scoped thread per grid item, which oversubscribes
-//! small hosts on big grids and leaves big hosts idle on small grids
-//! once the longest item becomes the critical path. [`run_indexed`]
-//! instead spawns `min(workers, items)` threads that *steal* the next
-//! unclaimed index from a shared atomic counter, so a slow item (e.g.
-//! the saturated end of a load curve) never strands the rest of the
-//! grid behind it.
-//!
-//! Results are written into their item's slot, so the output order — and
-//! therefore every rendered table — is identical to the serial order
-//! whatever the worker count or steal interleaving. The closure receives
-//! only the item index; experiments index into their own point lists,
-//! which keeps borrows trivially `Sync`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! runs (portfolio × sweep point × replication) out through
+//! [`obm_core::pool::run_indexed`]; this module only decides how many
+//! threads a sweep gets. Results come back in index order, so every
+//! rendered table is identical to the serial order whatever the worker
+//! count. The closure receives only the item index; experiments index
+//! into their own point lists, which keeps borrows trivially `Sync`.
 
 /// Worker-thread budget: `OBM_WORKERS` if set to a positive integer,
 /// otherwise the detected core count. The experiment surfaces print the
@@ -27,63 +16,17 @@ pub fn effective_workers() -> usize {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(detected_cores)
+        .unwrap_or_else(obm_core::pool::detected_cores)
 }
 
-/// Core count the host reports (1 if detection fails).
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Run `f(0..n)` across the shared pool and return the results in index
-/// order. Blocks until the whole grid is done; a panicking item
-/// propagates out of the enclosing scope after the other workers finish
-/// their current items.
+/// Run `f(0..n)` on [`effective_workers`] threads and return the results
+/// in index order (see [`obm_core::pool::run_indexed`]).
 pub fn run_indexed<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_with(effective_workers(), n, f)
-}
-
-/// [`run_indexed`] with an explicit worker budget (clamped to the grid
-/// size; `0` is treated as `1`).
-pub fn run_indexed_with<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.clamp(1, n.max(1));
-    let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || Mutex::new(None));
-    let next = AtomicUsize::new(0);
-    let (f, slots_ref, next_ref) = (&f, &slots, &next);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let value = f(i);
-                if let Ok(mut slot) = slots_ref[i].lock() {
-                    *slot = Some(value);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .ok()
-                .flatten()
-                .expect("every grid index was claimed and completed")
-        })
-        .collect()
+    obm_core::pool::run_indexed(effective_workers(), n, f)
 }
 
 #[cfg(test)]
@@ -91,37 +34,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_are_in_index_order_for_any_worker_count() {
-        let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let got = run_indexed_with(workers, 37, |i| i * i);
-            assert_eq!(got, expected, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn empty_grid_returns_empty() {
-        let got: Vec<usize> = run_indexed_with(4, 0, |i| i);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn stealing_covers_every_index_exactly_once() {
-        use std::sync::atomic::AtomicU64;
-        let calls = AtomicU64::new(0);
-        let got = run_indexed_with(3, 100, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            i
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 100);
-        assert_eq!(got, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn env_override_is_ignored_when_invalid() {
         // `effective_workers` falls back to the detected core count for
-        // unset/invalid values; both paths must return at least 1.
+        // unset/invalid values; either path returns at least 1.
         assert!(effective_workers() >= 1);
-        assert!(detected_cores() >= 1);
     }
 }

@@ -1,5 +1,5 @@
 //! Minimal markdown table / grid rendering for experiment output (kept
-//! dependency-free; the workspace deliberately avoids serde_json).
+//! dependency-free; the workspace has no serialization crate).
 
 /// A markdown table under construction.
 #[derive(Debug, Clone, Default)]

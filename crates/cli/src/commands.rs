@@ -780,9 +780,7 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
     // engine has already set `portfolio_workers` during the race.
     metrics.gauge_set(
         "cli_detected_cores",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1) as f64,
+        obm_core::pool::detected_cores() as f64,
     );
     metrics.gauge_set("sim_shards_env", noc_sim::env_shards().unwrap_or(1) as f64);
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);

@@ -1,10 +1,9 @@
 //! A set-associative LRU cache built from [`LruSet`]s.
 
 use crate::lru::{Access, LruSet};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one cache (or one bank of a distributed cache).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
@@ -47,7 +46,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,

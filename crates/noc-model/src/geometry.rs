@@ -5,10 +5,8 @@
 //! [`TileId`]s in the same row-major order; [`TileId::from_paper`] and
 //! [`TileId::to_paper`] convert to the paper's 1-based numbering.
 
-use serde::{Deserialize, Serialize};
-
 /// A tile index in row-major order, 0-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(pub usize);
 
 impl TileId {
@@ -33,7 +31,7 @@ impl TileId {
 }
 
 /// A (row, col) coordinate on the mesh, 0-based.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// 0-based row (the paper's `i − 1`).
     pub row: usize,
@@ -60,7 +58,7 @@ impl Coord {
 ///
 /// The paper evaluates square `n × n` meshes (8×8 in the evaluation, 4×4 in
 /// the Figure 5 example); rectangular meshes are supported for completeness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     rows: usize,
     cols: usize,

@@ -9,10 +9,9 @@ use crate::geometry::{Mesh, TileId};
 use crate::layout::ChipLayout;
 use crate::placement::MemoryControllers;
 use crate::traffic::PacketFormat;
-use serde::{Deserialize, Serialize};
 
 /// Router/link timing parameters of Eq. (2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyParams {
     /// Per-hop router pipeline latency `td_r` in cycles (Table 2: 3-stage).
     pub td_r: f64,
@@ -98,7 +97,7 @@ impl Default for LatencyParams {
 
 /// The per-tile average-latency arrays `{TC(k)}` and `{TM(k)}` together with
 /// the underlying hop-count averages (needed by the power model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileLatencies {
     tc: Vec<f64>,
     tm: Vec<f64>,

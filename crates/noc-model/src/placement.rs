@@ -9,10 +9,9 @@
 
 use crate::geometry::{Mesh, TileId};
 use crate::layout::PlacementError;
-use serde::{Deserialize, Serialize};
 
 /// A set of memory-controller tiles with nearest-controller forwarding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryControllers {
     tiles: Vec<TileId>,
 }

@@ -7,10 +7,9 @@
 //! ablations in the cycle-level simulator.
 
 use crate::geometry::{Mesh, TileId};
-use serde::{Deserialize, Serialize};
 
 /// One output direction at a router.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteDir {
     /// Decreasing row index.
     North,

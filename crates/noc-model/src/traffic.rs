@@ -4,10 +4,8 @@
 //! (requests, coherence control), long packets carrying a 64-byte cache line
 //! plus a head flit are 5 flits (data replies).
 
-use serde::{Deserialize, Serialize};
-
 /// The two traffic classes distinguished by the mapping formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketClass {
     /// Shared-L2-cache traffic: requests to the address-hashed bank,
     /// checking/forwarding between L1s, and data replies. Either endpoint is
@@ -18,7 +16,7 @@ pub enum PacketClass {
 }
 
 /// Physical packet format on the link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketFormat {
     /// Link width in bits per cycle (Table 2: 128).
     pub link_bits: u32,

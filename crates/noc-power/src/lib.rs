@@ -20,10 +20,9 @@
 #![warn(missing_docs)]
 
 use noc_model::{Mesh, TileId, TileLatencies};
-use serde::{Deserialize, Serialize};
 
 /// Technology/energy parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerParams {
     /// Energy per flit per router traversal, in picojoules.
     pub router_energy_pj: f64,
@@ -70,7 +69,7 @@ impl Default for PowerParams {
 }
 
 /// A power estimate for one mapping / simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     /// Dynamic NoC power in milliwatts.
     pub dynamic_mw: f64,

@@ -1,20 +1,12 @@
 //! Measurement accumulators and the simulation report.
 
 use noc_model::PacketClass;
-use serde_like_display::display_f64;
 
 // The latency accumulator moved to `noc-telemetry` (windowed telemetry
 // records and end-of-run reports share one histogram implementation);
 // re-exported here so existing `noc_sim::stats::LatencyAccum` /
 // `noc_sim::LatencyAccum` imports keep working.
 pub use noc_telemetry::LatencyAccum;
-
-/// Tiny helper module so the report prints nicely without serde_json.
-mod serde_like_display {
-    pub fn display_f64(x: f64) -> String {
-        format!("{x:.3}")
-    }
-}
 
 /// Aggregate network-level counters (all simulation phases, not just the
 /// measurement window).
@@ -230,10 +222,10 @@ impl SimReport {
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
-            "g-APL {} | max-APL {} | td_q {} | {}/{} packets{}",
-            display_f64(self.g_apl()),
-            display_f64(self.max_apl()),
-            display_f64(self.mean_td_q()),
+            "g-APL {:.3} | max-APL {:.3} | td_q {:.3} | {}/{} packets{}",
+            self.g_apl(),
+            self.max_apl(),
+            self.mean_td_q(),
             self.delivered,
             self.injected,
             if self.fully_drained {

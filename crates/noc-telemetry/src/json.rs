@@ -1,9 +1,8 @@
 //! A minimal, dependency-free JSON value: enough to emit and re-read the
 //! telemetry artifact schema.
 //!
-//! The vendored `serde` is marker-traits only (no derive, no
-//! serialization), so the JSON-lines artifacts are written and parsed by
-//! hand through this module. It supports the full JSON data model except
+//! The workspace has no serialization crate, so the JSON-lines artifacts
+//! are written and parsed by hand through this module. It supports the full JSON data model except
 //! for exotic number forms (all numbers are `f64`; integers up to 2^53
 //! round-trip exactly) and `\uXXXX` escapes outside the BMP (surrogate
 //! pairs are rejected rather than combined — the schema only emits ASCII

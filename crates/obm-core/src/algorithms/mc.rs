@@ -2,10 +2,11 @@
 //! keep the one with the smallest max-APL (paper §V.A, comparison
 //! algorithm 2; the paper uses 10⁴ draws).
 //!
-//! The draws are embarrassingly parallel; they are fanned out over scoped
-//! crossbeam threads with per-worker RNG streams and reduced with a plain
-//! min — following the data-parallel idiom of the workspace's HPC guides
-//! (no shared mutable state, deterministic given the seed).
+//! The draws are embarrassingly parallel; they are fanned out over
+//! [`crate::pool::run_indexed`] with per-worker RNG streams and reduced
+//! with a plain min — following the data-parallel idiom of the
+//! workspace's HPC guides (no shared mutable state, deterministic given
+//! the seed).
 
 use crate::algorithms::random::{DrawScratch, RandomMapper};
 use crate::algorithms::{BudgetError, Mapper};
@@ -33,7 +34,7 @@ impl Default for MonteCarlo {
     fn default() -> Self {
         MonteCarlo {
             samples: 10_000,
-            workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(8)),
+            workers: crate::pool::default_workers(),
         }
     }
 }
@@ -149,22 +150,12 @@ impl Mapper for MonteCarlo {
         // The token is shared across workers; a fired token poisons the
         // whole draw (all-or-nothing keeps the result independent of which
         // worker was interrupted).
-        let results = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let quota = per + usize::from(w < extra);
-                    // Distinct, deterministic RNG stream per worker.
-                    let wseed =
-                        seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1));
-                    scope.spawn(move |_| MonteCarlo::best_of(inst, quota, wseed, token))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("MC worker panicked"))
-                .collect::<Vec<_>>()
-        })
-        .expect("crossbeam scope");
+        let results = crate::pool::run_indexed(workers, workers, |w| {
+            let quota = per + usize::from(w < extra);
+            // Distinct, deterministic RNG stream per worker.
+            let wseed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w as u64 + 1));
+            MonteCarlo::best_of(inst, quota, wseed, token)
+        });
         let mut best: Option<(f64, Mapping)> = None;
         for r in results {
             let (v, m) = r?;

@@ -55,17 +55,14 @@ impl RandomMapper {
     /// Estimate the random-mapping averages (g-APL, max-APL, dev-APL) over
     /// `samples` draws — the "Random" row of Table 1.
     ///
-    /// Scoring fans out over the host's cores via
+    /// Scoring fans out over [`crate::pool::default_workers`] threads via
     /// [`BatchEvaluator::eval_many_parallel`], whose fixed-chunk contract
     /// makes the reports — and therefore these averages — bit-identical
     /// at any worker count (including the serial path).
     ///
     /// [`BatchEvaluator::eval_many_parallel`]: crate::batch::BatchEvaluator::eval_many_parallel
     pub fn averages(inst: &ObmInstance, samples: usize, seed: u64) -> RandomAverages {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        RandomMapper::averages_with_workers(inst, samples, seed, workers)
+        RandomMapper::averages_with_workers(inst, samples, seed, crate::pool::default_workers())
     }
 
     /// [`averages`](Self::averages) with an explicit worker count

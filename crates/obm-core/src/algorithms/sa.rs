@@ -116,7 +116,7 @@ impl Mapper for SimulatedAnnealing {
             panic!("SimulatedAnnealing::map: {e}");
         }
         if self.restarts > 1 {
-            // Restarts run on scoped threads, and `&mut dyn Probe` cannot
+            // Restarts run on pool threads, and `&mut dyn Probe` cannot
             // be shared across them (no Sync bound, and interleaved
             // events from concurrent restarts would be meaningless anyway),
             // so the parallel path emits no solver events. Probe a
@@ -126,26 +126,15 @@ impl Mapper for SimulatedAnnealing {
             // cancelled restart poisons the whole run (all-or-nothing keeps
             // the result independent of which restart was interrupted).
             // A restart's panic is re-raised unchanged in the caller.
-            let results = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..self.restarts)
-                    .map(|r| {
-                        let cfg = SimulatedAnnealing {
-                            restarts: 1,
-                            ..*self
-                        };
-                        let rseed =
-                            seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1));
-                        scope.spawn(move || {
-                            let m = cfg.map_cancellable(inst, rseed, token, &mut NoopSink)?;
-                            let v = crate::eval::evaluate(inst, &m).max_apl;
-                            Some((v, m))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect::<Vec<_>>()
+            let cfg = SimulatedAnnealing {
+                restarts: 1,
+                ..*self
+            };
+            let results = crate::pool::run_indexed(self.restarts, self.restarts, |r| {
+                let rseed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r as u64 + 1));
+                let m = cfg.map_cancellable(inst, rseed, token, &mut NoopSink)?;
+                let v = crate::eval::evaluate(inst, &m).max_apl;
+                Some((v, m))
             });
             let mut best: Option<(f64, Mapping)> = None;
             for r in results {

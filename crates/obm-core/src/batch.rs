@@ -398,46 +398,14 @@ impl<'a> BatchEvaluator<'a> {
 
     /// [`eval_many`](Self::eval_many) with an opt-in deterministic
     /// parallel path: the batch is cut into fixed [`PAR_CHUNK`]-sized
-    /// chunks (independent of `workers`), workers race for chunk indices,
-    /// and each chunk's reports land in the chunk's own slot — so the
-    /// concatenated output is bit-identical at any worker count.
+    /// chunks (independent of `workers`) that [`crate::pool::run_indexed`]
+    /// scores and returns in chunk order — so the concatenated output is
+    /// bit-identical at any worker count.
     pub fn eval_many_parallel(&self, mappings: &[Mapping], workers: usize) -> Vec<AplReport> {
-        let workers = workers.max(1);
-        if workers == 1 || mappings.len() <= PAR_CHUNK {
-            return self.eval_many(mappings);
-        }
         let chunks: Vec<&[Mapping]> = mappings.chunks(PAR_CHUNK).collect();
-        let slots: Vec<std::sync::Mutex<Vec<AplReport>>> = chunks
-            .iter()
-            .map(|_| std::sync::Mutex::new(Vec::new()))
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let this = *self;
-        let chunks_ref = &chunks;
-        let slots_ref = &slots;
-        let next_ref = &next;
-        crossbeam::thread::scope(move |scope| {
-            for _ in 0..workers.min(chunks_ref.len()) {
-                scope.spawn(move |_| loop {
-                    let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= chunks_ref.len() {
-                        break;
-                    }
-                    let reports = this.eval_many(chunks_ref[i]);
-                    match slots_ref[i].lock() {
-                        Ok(mut slot) => *slot = reports,
-                        Err(poisoned) => *poisoned.into_inner() = reports,
-                    }
-                });
-            }
-        })
-        .expect("eval_many_parallel worker panicked");
-        slots
+        crate::pool::run_indexed(workers, chunks.len(), |i| self.eval_many(chunks[i]))
             .into_iter()
-            .flat_map(|s| match s.into_inner() {
-                Ok(v) => v,
-                Err(poisoned) => poisoned.into_inner(),
-            })
+            .flatten()
             .collect()
     }
 

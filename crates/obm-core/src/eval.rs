@@ -12,10 +12,9 @@
 use crate::problem::{Mapping, ObmInstance};
 use noc_model::TileId;
 use noc_telemetry::{Probe, SolverEvent};
-use serde::{Deserialize, Serialize};
 
 /// Full latency report for a mapping.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AplReport {
     /// Per-application APL `d_i` (Eq. 5), in cycles.
     pub per_app: Vec<f64>,

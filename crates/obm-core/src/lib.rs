@@ -30,6 +30,9 @@
 //! * [`remap`] — the closed-loop online [`RemapController`]: windowed
 //!   telemetry in, drift detection, warm-started migration-penalized
 //!   re-solve, deterministic mid-run mapping swap out (DESIGN.md §14);
+//! * [`pool`] — [`pool::run_indexed`], the fork–join helper every
+//!   parallel search site (MC draws, SA restarts, `eval_many_parallel`,
+//!   the portfolio race, the experiment sweeps) runs on;
 //! * [`placement`] — placement co-optimization: an outer deterministic
 //!   search over memory-controller [`ChipLayout`](noc_model::ChipLayout)s
 //!   with the OBM solver in the inner loop (DESIGN.md §15).
@@ -73,6 +76,7 @@ pub mod metrics;
 pub mod objective;
 pub mod oversub;
 pub mod placement;
+pub mod pool;
 pub mod problem;
 pub mod reduction;
 pub mod refine;

@@ -8,10 +8,9 @@
 //! reported for evaluation (Table 4 uses dev-APL).
 
 use crate::eval::AplReport;
-use serde::{Deserialize, Serialize};
 
 /// A scalar balance metric over per-application APLs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BalanceMetric {
     /// `max_i d_i` — the OBM objective (lower is better).
     MaxApl,

@@ -34,7 +34,6 @@ use crate::eval::AplReport;
 use crate::problem::{Mapping, ObmInstance};
 use noc_model::Mesh;
 use noc_power::PowerParams;
-use serde::{Deserialize, Serialize};
 
 /// A mapping objective: evaluated report → lower-is-better scalar.
 ///
@@ -210,7 +209,7 @@ impl<O: Objective> Objective for MigrationPenalized<O> {
 ///
 /// The default is the paper's [`MinMaxApl`]; [`Energy`] is built at the
 /// default 45 nm technology point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ObjectiveSpec {
     /// The paper's Eq. (6) objective (the default).
     #[default]

@@ -1,7 +1,6 @@
 //! The OBM problem instance and mapping representation (paper §III.B).
 
 use noc_model::{TileId, TileLatencies};
-use serde::{Deserialize, Serialize};
 
 /// An instance of the On-chip-latency Balanced Mapping problem.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// paper's footnote handles that by adding zero-traffic pseudo-threads,
 /// which is equivalent to simply leaving the surplus tiles unassigned —
 /// that is how this implementation treats them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObmInstance {
     tiles: TileLatencies,
     boundaries: Vec<usize>,
@@ -39,9 +38,8 @@ pub struct ObmInstance {
     /// to as future work.
     weights: Vec<f64>,
     /// Lazily built flat evaluation tables (the SoA cost matrix every
-    /// solver hot path reads). Cache state, not identity: skipped by
-    /// serde and excluded from `PartialEq`.
-    #[serde(skip, default)]
+    /// solver hot path reads). Cache state, not identity: excluded from
+    /// `PartialEq`.
     tables: std::sync::OnceLock<crate::batch::EvalTables>,
 }
 
@@ -223,8 +221,7 @@ impl ObmInstance {
     }
 
     /// The flat evaluation tables for this instance, built on first use
-    /// and cached for the instance's lifetime (an instance deserialized
-    /// by serde starts with an empty cache and rebuilds lazily).
+    /// and cached for the instance's lifetime.
     pub fn eval_tables(&self) -> &crate::batch::EvalTables {
         self.tables
             .get_or_init(|| crate::batch::EvalTables::build(self))
@@ -313,7 +310,7 @@ fn check_tiles(
 
 /// A thread-to-tile mapping `π(j) = k` — an injective assignment of every
 /// thread to a tile.
-#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Mapping {
     thread_to_tile: Vec<TileId>,
 }

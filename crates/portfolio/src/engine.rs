@@ -12,11 +12,12 @@
 //!    (algorithm × seed) expansion and the `max_evaluations` clamp both
 //!    happen sequentially in task-rank order, so no task's budget depends
 //!    on scheduling.
-//! 2. **Merge by (value, task-rank), never arrival order.** Workers pull
-//!    tasks from a shared counter and finish in any order; results land
-//!    in per-task slots and are merged by a sequential scan that prefers
-//!    strictly-smaller objectives (`f64::total_cmp`), so ties break
-//!    toward the lowest rank regardless of who finished first.
+//! 2. **Merge by (value, task-rank), never arrival order.** Workers of
+//!    `obm_core::pool` claim tasks from a shared counter and finish in
+//!    any order; results come back in task order and are merged by a
+//!    sequential scan that prefers strictly-smaller objectives
+//!    (`f64::total_cmp`), so ties break toward the lowest rank
+//!    regardless of who finished first.
 //! 3. **Cancelled work contributes nothing.** A task interrupted by the
 //!    deadline or the caller's token returns `None` and is excluded
 //!    entirely — partial work is never merged, so the only
@@ -35,8 +36,8 @@
 //! share the pass's mapping and buffered events ([`SharedSss`], DESIGN.md
 //! §10.6).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use noc_telemetry::{Probe, SolverEvent};
 use obm_core::algorithms::{BalancedGreedy, Mapper, SortSelectSwap, OBJECTIVE_REFINE_PASSES};
@@ -260,16 +261,6 @@ fn score(inst: &ObmInstance, objective: ObjectiveSpec, mapping: &Mapping) -> f64
     }
 }
 
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    // A worker can only poison the mutex by panicking between lock and
-    // unlock; the slot write it guards is still the freshest state, so
-    // recover the guard instead of propagating the poison.
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome {
     let inst = req.inst;
     let objective = req.objective;
@@ -336,8 +327,6 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
         .filter(|(_, t)| !t.dropped && t.resumed.is_none())
         .map(|(i, _)| i)
         .collect();
-    let slots: Mutex<Vec<Option<TaskResult>>> =
-        Mutex::new((0..runnable.len()).map(|_| None).collect());
     let mut shared: Vec<SharedSss> = Vec::new();
     for &i in &runnable {
         if let Some(cfg) = sss_config(&tasks[i].algo) {
@@ -349,79 +338,56 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
             }
         }
     }
-    let workers = req.workers.min(runnable.len());
-    if workers > 0 {
+    if !runnable.is_empty() {
         // Build the instance's eval tables once before the race so no
         // worker pays (or double-pays) the one-off build inside its
         // timed region.
         let _ = inst.eval_tables();
-        let next = AtomicUsize::new(0);
-        let capture = probe.is_enabled();
-        let tasks_ref = &tasks;
-        let runnable_ref = &runnable;
-        let next_ref = &next;
-        let slots_ref = &slots;
-        let token_ref = &token;
-        let bound_ref = &bound;
-        let metrics_ref = &req.metrics;
-        let shared_ref = &shared[..];
-        let aggressive = req.aggressive_pruning;
-        // The vendored scope wraps std scoped threads: worker panics
-        // propagate on scope exit, and the Ok wrapper is unconditional.
-        let _ = crossbeam::thread::scope(move |s| {
-            for _ in 0..workers {
-                s.spawn(move |_| loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if i >= runnable_ref.len() {
-                        break;
-                    }
-                    let t = &tasks_ref[runnable_ref[i]];
-                    // One aggregated span per task identity; purely
-                    // observational (recorded on drop, never read back).
-                    let _task_span = metrics_ref.enabled().then(|| {
-                        metrics_ref.span(&format!("portfolio/task/{}-s{}", t.name, t.seed))
-                    });
-                    let mut buf = BufferProbe {
-                        enabled: capture,
-                        events: Vec::new(),
-                    };
-                    // The shared bound and branch-and-bound both prune on
-                    // max-APL, so the incumbent is only sound when that
-                    // is the racing objective.
-                    let incumbent = (aggressive && min_max)
-                        .then(|| bound_ref.load())
-                        .filter(|b| b.is_finite());
-                    let started = std::time::Instant::now();
-                    if let Some(m) = run_task(t, inst, token_ref, &mut buf, incumbent, shared_ref) {
-                        // Every algorithm searches the min-max landscape
-                        // natively; under another objective each result
-                        // is polished by the same deterministic exchange
-                        // refinement `Mapper::map_objective` uses, then
-                        // scored by the objective's scalar.
-                        let m = if min_max {
-                            m
-                        } else {
-                            let obj = objective.build();
-                            refine_for_objective(inst, m, obj.as_ref(), OBJECTIVE_REFINE_PASSES)
-                        };
-                        let value = score(inst, objective, &m);
-                        let wall_nanos = started.elapsed().as_nanos() as u64;
-                        bound_ref.update_min(value);
-                        lock(slots_ref)[i] = Some(TaskResult {
-                            value,
-                            mapping: m,
-                            events: buf.events,
-                            wall_nanos,
-                        });
-                    }
-                });
-            }
-        });
     }
+    let capture = probe.is_enabled();
+    let metrics = &req.metrics;
+    let aggressive = req.aggressive_pruning;
+    let fresh = obm_core::pool::run_indexed(req.workers, runnable.len(), |i| {
+        let t = &tasks[runnable[i]];
+        // One aggregated span per task identity; purely observational
+        // (recorded on drop, never read back).
+        let _task_span = metrics
+            .enabled()
+            .then(|| metrics.span(&format!("portfolio/task/{}-s{}", t.name, t.seed)));
+        let mut buf = BufferProbe {
+            enabled: capture,
+            events: Vec::new(),
+        };
+        // The shared bound and branch-and-bound both prune on max-APL, so
+        // the incumbent is only sound when that is the racing objective.
+        let incumbent = (aggressive && min_max)
+            .then(|| bound.load())
+            .filter(|b| b.is_finite());
+        let started = std::time::Instant::now();
+        let m = run_task(t, inst, &token, &mut buf, incumbent, &shared)?;
+        // Every algorithm searches the min-max landscape natively; under
+        // another objective each result is polished by the same
+        // deterministic exchange refinement `Mapper::map_objective` uses,
+        // then scored by the objective's scalar.
+        let m = if min_max {
+            m
+        } else {
+            let obj = objective.build();
+            refine_for_objective(inst, m, obj.as_ref(), OBJECTIVE_REFINE_PASSES)
+        };
+        let value = score(inst, objective, &m);
+        let wall_nanos = started.elapsed().as_nanos() as u64;
+        bound.update_min(value);
+        Some(TaskResult {
+            value,
+            mapping: m,
+            events: buf.events,
+            wall_nanos,
+        })
+    });
 
-    // Collect per-task results: fresh runs from the slots, resumed tasks
+    // Collect per-task results: fresh runs from the race, resumed tasks
     // from the checkpoint.
-    let fresh = slots.into_inner().unwrap_or_else(PoisonError::into_inner);
     let mut results: Vec<Option<TaskResult>> = tasks.iter().map(|_| None).collect();
     for (r, &task_idx) in fresh.into_iter().zip(&runnable) {
         results[task_idx] = r;

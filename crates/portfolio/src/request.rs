@@ -267,7 +267,7 @@ impl<'a> SolveRequest<'a> {
             algorithms: Vec::new(),
             seeds: Vec::new(),
             budget: SolveBudget::unlimited(),
-            workers: default_workers(),
+            workers: obm_core::pool::default_workers(),
             aggressive_pruning: false,
             objective: ObjectiveSpec::default(),
             cancel: CancelToken::never(),
@@ -308,10 +308,6 @@ impl<'a> SolveRequest<'a> {
     pub fn objective(&self) -> ObjectiveSpec {
         self.objective
     }
-}
-
-fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
 /// Builder for [`SolveRequest`] (the PR 2 builder-validation convention:

@@ -9,10 +9,9 @@
 use crate::profile::{AppProfile, PROFILES};
 use crate::trace::{ClassTargets, TraceSet};
 use crate::Workload;
-use serde::{Deserialize, Serialize};
 
 /// One of the eight evaluation configurations of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperConfig {
     C1,
     C2,

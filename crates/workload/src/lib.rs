@@ -33,10 +33,8 @@ pub use monitor::RateMonitor;
 pub use profile::AppProfile;
 pub use trace::{ThreadTrace, TraceSet};
 
-use serde::{Deserialize, Serialize};
-
 /// Average request rates of one thread (requests per kilocycle).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThreadLoad {
     /// Shared-L2-cache request rate `c_j`.
     pub cache_rate: f64,
@@ -53,7 +51,7 @@ impl ThreadLoad {
 }
 
 /// One application: a named group of threads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Human-readable name (e.g. the PARSEC-like profile it was drawn from).
     pub name: String,
@@ -85,7 +83,7 @@ impl Application {
 
 /// A set of concurrently running applications — the input of the
 /// multi-application mapping problem.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Applications, in the paper's convention sorted in ascending order of
     /// total communication rate (Application 1 is the lightest).

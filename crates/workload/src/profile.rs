@@ -8,10 +8,8 @@
 //! to span the qualitative range PARSEC 2.0 exhibits, from the light
 //! `swaptions-like` to the streaming-heavy `streamcluster-like`.
 
-use serde::{Deserialize, Serialize};
-
 /// Parametric communication profile of one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppProfile {
     /// Name, suffixed "-like" to make the synthetic provenance explicit.
     pub name: &'static str,

@@ -17,14 +17,13 @@ use crate::stats::SampleStats;
 use crate::{Application, ThreadLoad, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of a thread's mean rate delivered by the always-on base
 /// component (keeps every thread's rate strictly positive in every epoch).
 const BASE_FRACTION: f64 = 0.2;
 
 /// The epoch trace of a single thread.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadTrace {
     /// Cache request rate per epoch.
     pub cache: Vec<f64>,
@@ -50,7 +49,7 @@ impl ThreadTrace {
 }
 
 /// Traces for every thread of a workload, plus the epoch duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSet {
     /// Cycles per epoch (used when replaying traces through the simulator).
     pub epoch_cycles: u64,
@@ -64,7 +63,7 @@ pub struct TraceSet {
 
 /// Calibration targets for one traffic class: the trace-sample mean and
 /// standard deviation over all (thread, epoch) samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassTargets {
     pub mean: f64,
     pub std_dev: f64,

@@ -77,6 +77,9 @@
 #                         heatmap observers (probes must never abort a
 #                         simulation), the batched evaluation engine
 #                         (the parallel path must degrade, not abort),
+#                         the fork–join pool every parallel solve runs
+#                         through (obm_core::pool: an item's panic is
+#                         re-raised as is, never replaced by a new one),
 #                         the Objective implementations and the
 #                         online remap controller (typed RemapError;
 #                         a mid-run controller must never abort a
@@ -328,7 +331,7 @@ for f in crates/noc-sim/src/config.rs crates/noc-sim/src/network.rs \
     crates/noc-sim/src/traffic.rs crates/noc-sim/src/shard.rs \
     crates/noc-telemetry/src/histogram.rs crates/noc-telemetry/src/heatmap.rs \
     crates/portfolio/src/*.rs crates/cli/src/spec.rs \
-    crates/obm-core/src/batch.rs \
+    crates/obm-core/src/batch.rs crates/obm-core/src/pool.rs \
     crates/obm-core/src/objective.rs crates/obm-core/src/remap.rs \
     crates/noc-model/src/layout.rs crates/noc-model/src/placement.rs \
     crates/obm-core/src/placement.rs crates/noc-metrics/src/*.rs; do
