@@ -5,25 +5,23 @@ use noc_model::{Mesh, TileLatencies};
 use obm_core::algorithms::{Global, Mapper, MonteCarlo, SimulatedAnnealing, SortSelectSwap};
 use obm_core::ObmInstance;
 use std::time::{Duration, Instant};
-use workload::{PaperConfig, TraceSet, Workload, WorkloadBuilder};
+use workload::{PaperConfig, Workload, WorkloadBuilder};
 
 /// Everything derived from one paper configuration.
 pub struct PaperInstance {
     pub config: PaperConfig,
     pub workload: Workload,
-    pub traces: TraceSet,
     pub instance: ObmInstance,
 }
 
 /// Build the OBM instance for a paper configuration on the 8×8 mesh with
 /// Table 2 latency parameters.
 pub fn paper_instance(cfg: PaperConfig) -> PaperInstance {
-    let (workload, traces) = WorkloadBuilder::paper(cfg).build();
+    let workload = WorkloadBuilder::paper(cfg).build().0;
     let instance = instance_from_workload(&workload);
     PaperInstance {
         config: cfg,
         workload,
-        traces,
         instance,
     }
 }

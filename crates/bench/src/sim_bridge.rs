@@ -1,39 +1,20 @@
 //! Bridge between the mapping layer and the cycle-level simulator:
-//! turn (instance, mapping, traces) into a [`TrafficSpec`] and run the
+//! turn (instance, mapping) into a [`TrafficSpec`] and run the
 //! network.
 //!
 //! The mean-rate glue lives in [`obm_core::traffic_spec`]; this module
-//! adds the trace-replay variant (epoch traces are a bench-harness
-//! concept) and the seeded run helpers the experiments share.
+//! adds the seeded run helpers the experiments share.
 
 use crate::harness::PaperInstance;
 use noc_model::Mesh;
 use noc_sim::telemetry::{FlowSummary, HeatmapRecord, Probe, RingSink};
-use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec};
+use noc_sim::{InjectionProcess, Network, SimConfig, SimReport, TrafficSpec};
 use obm_core::Mapping;
 
 /// The traffic a mapping induces at mean rates: thread `j` of application
 /// `i` injects from tile `π(j)` at its average rates.
 pub fn traffic_from_mapping(pi: &PaperInstance, mapping: &Mapping) -> TrafficSpec {
     obm_core::traffic_spec(&pi.instance, mapping)
-}
-
-/// Trace-replay variant: each thread's epoch trace drives a piecewise
-/// injection schedule instead of its mean rate.
-pub fn trace_traffic_from_mapping(pi: &PaperInstance, mapping: &Mapping) -> TrafficSpec {
-    let inst = &pi.instance;
-    let sources: Vec<SourceSpec> = (0..inst.num_threads())
-        .map(|j| {
-            let tr = &pi.traces.traces[j];
-            SourceSpec {
-                tile: mapping.tile_of(j),
-                group: inst.app_of_thread(j),
-                cache: Schedule::trace_per_kilocycle(pi.traces.epoch_cycles, &tr.cache),
-                mem: Schedule::trace_per_kilocycle(pi.traces.epoch_cycles, &tr.mem),
-            }
-        })
-        .collect();
-    TrafficSpec::new(sources, inst.num_apps()).expect("valid mapping induces valid traffic")
 }
 
 /// The paper's Table 2 simulation config for a mapped instance, measuring

@@ -237,8 +237,7 @@ fn run_command(
                 .positional
                 .first()
                 .ok_or("gen needs a configuration name (C1..C8)")?;
-            let seed = args.parse_flag::<u64>("seed", u64::MAX)?;
-            commands::generate(cfg, (seed != u64::MAX).then_some(seed))
+            commands::generate(cfg, args.opt_parse_flag::<u64>("seed")?)
         }
         "map" => {
             let spec = read(args.positional.first().ok_or("map needs a spec file")?)?;
@@ -411,5 +410,33 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gen(argv: &[&str]) -> Result<String, String> {
+        let args = Args::parse(argv.iter().map(|a| a.to_string()).collect())?;
+        run_command("gen", &args, &noc_metrics::MetricsHandle::disabled())
+    }
+
+    /// Every `u64` is a seed, `u64::MAX` included: it must not fall back
+    /// to the configuration's default seed.
+    #[test]
+    fn gen_honors_the_largest_seed() {
+        let max = gen(&["C1", "--seed", "18446744073709551615"]).unwrap();
+        assert_eq!(max, commands::generate("C1", Some(u64::MAX)).unwrap());
+        assert_ne!(max, gen(&["C1"]).unwrap());
+    }
+
+    /// The stdout of `obm gen C1 --seed 3`, byte for byte (`main`'s
+    /// `println!` adds the final newline), recorded before trace series
+    /// were stored as bitsets.
+    #[test]
+    fn gen_output_is_pinned() {
+        let stdout = format!("{}\n", gen(&["C1", "--seed", "3"]).unwrap());
+        assert_eq!(stdout, include_str!("../tests/data/gen_c1_seed3.spec"));
     }
 }

@@ -50,6 +50,11 @@ impl PaperConfig {
         }
     }
 
+    /// Trace seed of [`WorkloadBuilder::paper`] unless overridden.
+    pub fn default_seed(self) -> u64 {
+        0x0b1ced + self as u64
+    }
+
     /// Table 3 calibration targets: `(cache, memory)` trace-sample
     /// statistics.
     pub fn targets(self) -> (ClassTargets, ClassTargets) {
@@ -156,7 +161,7 @@ impl WorkloadBuilder {
             mem_targets,
             epochs: 20_000,
             epoch_cycles: 1_000,
-            seed: 0x0b1ced + cfg as u64,
+            seed: cfg.default_seed(),
         }
     }
 
@@ -204,16 +209,15 @@ impl WorkloadBuilder {
         self.profiles.len() * self.threads_per_app
     }
 
-    /// Generate the calibrated trace set.
-    pub fn build_traces(&self) -> TraceSet {
-        let n_apps = self.profiles.len();
-        let tpa = self.threads_per_app;
-        // Design means: profile weight × per-thread skew, normalized so the
-        // pooled mean equals the target mean.
-        let mut cache_means = Vec::with_capacity(n_apps * tpa);
-        let mut mem_means = Vec::with_capacity(n_apps * tpa);
+    /// Per-thread design means `(cache, memory)` handed to
+    /// [`TraceSet::generate`]: profile weight × per-thread skew,
+    /// normalized so each class's pooled mean equals its target mean.
+    pub fn design_means(&self) -> (Vec<f64>, Vec<f64>) {
+        let n = self.num_threads();
+        let mut cache_means = Vec::with_capacity(n);
+        let mut mem_means = Vec::with_capacity(n);
         for p in &self.profiles {
-            for w in p.thread_weights(tpa) {
+            for w in p.thread_weights(self.threads_per_app) {
                 let c = p.cache_weight * w;
                 cache_means.push(c);
                 mem_means.push(c * p.mem_ratio);
@@ -221,12 +225,18 @@ impl WorkloadBuilder {
         }
         normalize_mean(&mut cache_means, self.cache_targets.mean);
         normalize_mean(&mut mem_means, self.mem_targets.mean);
+        (cache_means, mem_means)
+    }
+
+    /// Generate the calibrated trace set.
+    pub fn build_traces(&self) -> TraceSet {
+        let (cache_means, mem_means) = self.design_means();
         TraceSet::generate(
             &cache_means,
             &mem_means,
             self.cache_targets,
             self.mem_targets,
-            vec![tpa; n_apps],
+            vec![self.threads_per_app; self.profiles.len()],
             self.profiles.iter().map(|p| p.name.to_string()).collect(),
             self.epochs,
             self.epoch_cycles,

@@ -11,9 +11,13 @@
 //! What downstream consumers use:
 //!
 //! * the mapping algorithms consume per-thread *average* rates
-//!   `(c_j, m_j)` — [`Workload::rate_vectors`];
-//! * the cycle-level simulator consumes the epoch traces as injection
-//!   schedules — [`trace::ThreadTrace`];
+//!   `(c_j, m_j)` — [`Workload::rate_vectors`], folded while the traces
+//!   are generated;
+//! * the runtime collector ([`RateMonitor`]) and trace replay read the
+//!   epoch traces through [`trace::ThreadTrace`], whose per-class
+//!   [`BurstSeries`] stores one bit per epoch (every epoch is either the
+//!   base rate or the spike), about 0.3 MB per C1–C8 trace set instead of
+//!   20 MB of `f64` (DESIGN.md §4.1);
 //! * the experiment harness reports Table 3 statistics —
 //!   [`stats::SampleStats`].
 //!
@@ -31,7 +35,7 @@ pub mod trace;
 pub use config::{PaperConfig, WorkloadBuilder};
 pub use monitor::RateMonitor;
 pub use profile::AppProfile;
-pub use trace::{ThreadTrace, TraceSet};
+pub use trace::{BurstSeries, ThreadTrace, TraceSet};
 
 /// Average request rates of one thread (requests per kilocycle).
 #[derive(Debug, Clone, Copy, PartialEq)]

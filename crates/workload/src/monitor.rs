@@ -9,7 +9,7 @@
 //! the traces are bursty, the window length controls the bias/variance
 //! trade-off; [`RateMonitor::mean_relative_error`] quantifies it.
 
-use crate::trace::TraceSet;
+use crate::trace::{BurstSeries, TraceSet};
 use crate::{Application, ThreadLoad, Workload};
 
 /// Sliding-window rate estimator over epoch traces.
@@ -33,11 +33,11 @@ impl RateMonitor {
     }
 
     /// Windowed mean of one epoch series.
-    fn window_mean(&self, series: &[f64]) -> f64 {
+    fn window_mean(&self, series: &BurstSeries) -> f64 {
         let n = series.len();
         debug_assert!(n > 0);
         let sum: f64 = (0..self.window)
-            .map(|i| series[(self.start_epoch + i) % n])
+            .map(|i| series.get((self.start_epoch + i) % n))
             .sum();
         sum / self.window as f64
     }

@@ -12,34 +12,100 @@
 //! calibration targets exactly in expectation** — this is how we reproduce
 //! the paper's Table 3, whose (mean, std) pairs are only consistent as
 //! trace-sample statistics (see DESIGN.md §4.1).
+//!
+//! Each series takes only the values `β·r_t` and `β·r_t + h`, so it is
+//! stored as a [`BurstSeries`]: the two values plus one bit per epoch.
 
 use crate::stats::SampleStats;
 use crate::{Application, ThreadLoad, Workload};
+use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Fraction of a thread's mean rate delivered by the always-on base
 /// component (keeps every thread's rate strictly positive in every epoch).
 const BASE_FRACTION: f64 = 0.2;
 
+/// One traffic class's epoch series of one thread, stored compactly.
+///
+/// The generator only ever emits two values per series — the always-on
+/// `base` and `spike = base + h` — so each epoch is one bit (set ⇔ the
+/// epoch spikes), packed into `u64` words: bit `e % 64` of word `e / 64`.
+/// A zero-traffic series has `base = spike = 0` and no bits set. The mean
+/// is folded during generation in epoch order, the same sequential sum a
+/// materialised `Vec<f64>` would give (DESIGN.md §4.1).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BurstSeries {
+    base: f64,
+    spike: f64,
+    len: usize,
+    bits: Vec<u64>,
+    mean: f64,
+}
+
+impl BurstSeries {
+    /// Number of epochs.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the series has no epochs (never true for generated traces).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Rate during epoch `e`.
+    ///
+    /// # Panics
+    /// Panics if `e >= len()`.
+    #[inline]
+    pub fn get(&self, e: usize) -> f64 {
+        assert!(
+            e < self.len,
+            "epoch {e} out of range for {} epochs",
+            self.len
+        );
+        if (self.bits[e / 64] >> (e % 64)) & 1 == 1 {
+            self.spike
+        } else {
+            self.base
+        }
+    }
+
+    /// Every epoch's rate, in epoch order.
+    pub fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.len).map(|e| self.get(e))
+    }
+
+    /// Mean rate over the series.
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// Heap bytes held by the bitset.
+    pub fn heap_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 /// The epoch trace of a single thread.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadTrace {
     /// Cache request rate per epoch.
-    pub cache: Vec<f64>,
+    pub cache: BurstSeries,
     /// Memory request rate per epoch.
-    pub mem: Vec<f64>,
+    pub mem: BurstSeries,
 }
 
 impl ThreadTrace {
     /// Mean cache rate over the trace.
     pub fn mean_cache_rate(&self) -> f64 {
-        self.cache.iter().sum::<f64>() / self.cache.len().max(1) as f64
+        self.cache.mean()
     }
 
     /// Mean memory rate over the trace.
     pub fn mean_mem_rate(&self) -> f64 {
-        self.mem.iter().sum::<f64>() / self.mem.len().max(1) as f64
+        self.mem.mean()
     }
 
     /// Number of epochs.
@@ -118,8 +184,8 @@ impl TraceSet {
     /// Pooled sample statistics of the cache class over all samples.
     pub fn cache_stats(&self) -> SampleStats {
         let mut s = SampleStats::new();
-        for t in &self.traces {
-            s.extend(&t.cache);
+        for x in self.traces.iter().flat_map(|t| t.cache.iter()) {
+            s.push(x);
         }
         s
     }
@@ -127,8 +193,8 @@ impl TraceSet {
     /// Pooled sample statistics of the memory class.
     pub fn mem_stats(&self) -> SampleStats {
         let mut s = SampleStats::new();
-        for t in &self.traces {
-            s.extend(&t.mem);
+        for x in self.traces.iter().flat_map(|t| t.mem.iter()) {
+            s.push(x);
         }
         s
     }
@@ -193,15 +259,45 @@ fn spike_height(means: &[f64], t: ClassTargets) -> f64 {
 }
 
 /// One thread's base+burst epoch series with mean `r` and spike height `h`.
-fn burst_series(r: f64, h: f64, epochs: usize, rng: &mut SmallRng) -> Vec<f64> {
+///
+/// Draws one coin per epoch in epoch order (none for a zero-traffic
+/// series) on a local copy of the generator, and folds the mean in the
+/// same pass: `sum += x` per epoch, then `sum / epochs`.
+fn burst_series(r: f64, h: f64, epochs: usize, rng: &mut SmallRng) -> BurstSeries {
+    let mut bits = vec![0u64; epochs.div_ceil(64)];
     if r <= 0.0 || h <= 0.0 {
-        return vec![0.0; epochs];
+        return BurstSeries {
+            base: 0.0,
+            spike: 0.0,
+            len: epochs,
+            bits,
+            mean: 0.0,
+        };
     }
     let base = BASE_FRACTION * r;
+    let spike = base + h;
     let q = ((1.0 - BASE_FRACTION) * r / h).min(1.0);
-    (0..epochs)
-        .map(|_| if rng.gen_bool(q) { base + h } else { base })
-        .collect()
+    let coin = Bernoulli::new(q).expect("r > 0 and h > 0 put the spike probability in (0, 1]");
+    let mut local = rng.clone();
+    let mut sum = 0.0;
+    for (w, word) in bits.iter_mut().enumerate() {
+        for b in 0..(epochs - w * 64).min(64) {
+            if coin.sample(&mut local) {
+                *word |= 1 << b;
+                sum += spike;
+            } else {
+                sum += base;
+            }
+        }
+    }
+    *rng = local;
+    BurstSeries {
+        base,
+        spike,
+        len: epochs,
+        bits,
+        mean: sum / epochs as f64,
+    }
 }
 
 #[cfg(test)]
@@ -258,8 +354,8 @@ mod proptests {
                 seed,
             );
             for tr in &ts.traces {
-                prop_assert!(tr.cache.iter().all(|&x| x > 0.0));
-                prop_assert!(tr.mem.iter().all(|&x| x >= 0.0));
+                prop_assert!(tr.cache.iter().all(|x| x > 0.0));
+                prop_assert!(tr.mem.iter().all(|x| x >= 0.0));
             }
         }
     }
@@ -340,8 +436,8 @@ mod tests {
             7,
         );
         for t in &ts.traces {
-            assert!(t.cache.iter().all(|&x| x > 0.0));
-            assert!(t.mem.iter().all(|&x| x > 0.0));
+            assert!(t.cache.iter().all(|x| x > 0.0));
+            assert!(t.mem.iter().all(|x| x > 0.0));
         }
     }
 
@@ -417,7 +513,7 @@ mod tests {
             0,
         );
         for t in &ts.traces {
-            assert!(t.mem.iter().all(|&x| x == 0.0));
+            assert!(t.mem.iter().all(|x| x == 0.0));
         }
     }
 

@@ -31,13 +31,21 @@
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
 #                         exhaustive win + TM-vs-simulator agreement,
-#                         and the sharded-engine suite (any shard
+#                         the sharded-engine suite (any shard
 #                         count bit-identical to serial, forced to
-#                         verify 4 shards via OBM_SIM_SHARDS),
+#                         verify 4 shards via OBM_SIM_SHARDS), and
+#                         the compact-trace suite (bitset epoch
+#                         series ≡ the materialising generator on
+#                         C1–C8 at three seeds: per-epoch values,
+#                         bitwise means, Table 3 statistics, window
+#                         means; golden workload-rate fingerprints),
 #                         all in release mode (optimizations change
 #                         f64 codegen timing, never the pinned bit
 #                         patterns)
-#   6. CLI smoke        — the observability subcommands (`experiments
+#   6. CLI smoke        — `obm gen` honors every seed (the output
+#                         for --seed 18446744073709551615 differs
+#                         from the default seed's), and
+#                         the observability subcommands (`experiments
 #                         heatmap --json`, `experiments trace --chrome`)
 #                         run on a generated C1 instance; the emitted
 #                         JSON is arithmetic-checked (heatmap link
@@ -171,6 +179,15 @@ OBM_SIM_SHARDS=4 cargo test -q --release --test shard_determinism
 # knob without perturbing their goldens.
 OBM_SIM_SHARDS=4 cargo test -q --release -p obm-bench sim_bridge
 
+echo "==> compact-trace suite (release)"
+# Epoch traces are stored one bit per epoch; the suite replays the
+# materialising generator they replaced on C1–C8 at the default seeds and
+# seeds 1 and 2014 (plus the 4×4 place mix) and requires identical
+# per-epoch values, bitwise-equal means, Table 3 statistics and
+# RateMonitor window means, a ≤ 1 MB heap per trace set, and the pinned
+# workload-rate fingerprints.
+cargo test -q --release --test traces
+
 echo "==> online-remap determinism suite (release)"
 # The closed-loop controller's decision sequence (remap cycles + final
 # mapping for the pinned seed) and the headline drifting-workload win
@@ -201,6 +218,12 @@ smokedir=$(mktemp -d)
 trap 'rm -rf "$smokedir"' EXIT
 obm=target/release/obm
 cargo build --release -q -p obm-cli
+# Every u64 is a seed: the largest must not fall back to the default.
+"$obm" gen C1 > "$smokedir/c1_default.spec"
+"$obm" gen C1 --seed 18446744073709551615 > "$smokedir/c1_max.spec"
+! cmp -s "$smokedir/c1_default.spec" "$smokedir/c1_max.spec" \
+    || { echo "obm gen --seed 18446744073709551615 printed the default-seed spec"; exit 1; }
+echo "--> gen: the largest seed is honored"
 "$obm" gen C1 --seed 1 > "$smokedir/c1.spec"
 "$obm" experiments heatmap "$smokedir/c1.spec" --cycles 2000 --json \
     --out "$smokedir/heat.json"

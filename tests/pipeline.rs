@@ -6,7 +6,7 @@ use obm::mapping::algorithms::{Mapper, SortSelectSwap};
 use obm::mapping::{evaluate, traffic_spec, ObmInstance};
 use obm::model::{Mesh, TileLatencies};
 use obm::sim::{Network, Schedule, SimConfig, SourceSpec, TrafficSpec};
-use obm::workload::{PaperConfig, WorkloadBuilder};
+use obm::workload::{BurstSeries, PaperConfig, WorkloadBuilder};
 
 fn build_pipeline(cfg: PaperConfig) -> (ObmInstance, obm::mapping::Mapping) {
     let (w, _) = WorkloadBuilder::paper(cfg).build();
@@ -99,12 +99,17 @@ fn trace_replay_conserves_packets() {
     let mut cfg = SimConfig::paper_defaults(mesh);
     cfg.warmup_cycles = 1_000;
     cfg.measure_cycles = 20_000;
+    // Piecewise schedules take per-epoch rates, so materialise each
+    // compact series.
+    let schedule = |series: &BurstSeries| {
+        Schedule::trace_per_kilocycle(traces.epoch_cycles, &series.iter().collect::<Vec<_>>())
+    };
     let sources: Vec<SourceSpec> = (0..inst.num_threads())
         .map(|j| SourceSpec {
             tile: mapping.tile_of(j),
             group: inst.app_of_thread(j),
-            cache: Schedule::trace_per_kilocycle(traces.epoch_cycles, &traces.traces[j].cache),
-            mem: Schedule::trace_per_kilocycle(traces.epoch_cycles, &traces.traces[j].mem),
+            cache: schedule(&traces.traces[j].cache),
+            mem: schedule(&traces.traces[j].mem),
         })
         .collect();
     let traffic = TrafficSpec::new(sources, inst.num_apps()).expect("valid traffic");
