@@ -23,6 +23,7 @@
 //! assert!((sol.cost - 5.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod matrix;

@@ -9,9 +9,7 @@ use noc_model::{LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies};
 use noc_sim::telemetry::{NoopSink, RingSink};
 use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, TrafficSpec};
 use obm_bench::harness::paper_instance;
-use obm_bench::sim_bridge::{
-    simulate_mapping, simulate_mapping_metered, simulate_mapping_probed, simulate_mapping_sharded,
-};
+use obm_bench::sim_bridge::{simulate_mapping, simulate_mapping_metered, simulate_mapping_probed};
 use obm_core::algorithms::{Mapper, SortSelectSwap};
 use obm_core::{traffic_spec, ObmInstance, RemapConfig, RemapController};
 use workload::PaperConfig;
@@ -55,14 +53,6 @@ fn sim_c1_paper_load(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("c1_8x8_10k_cycles", |b| {
         b.iter(|| simulate_mapping(&pi, &mapping, 10_000, 7))
-    });
-    // The same run on the 4-shard row-band engine (bit-identical result;
-    // see tests/shard_determinism.rs). On a single-core host this prices
-    // the barrier/channel overhead; on a multi-core host it shows the
-    // shard speedup (`bench_snapshot.sh` derives the delta as
-    // `shard_delta_pct/c1_8x8_10k_cycles`).
-    group.bench_function("c1_8x8_10k_cycles_sharded4", |b| {
-        b.iter(|| simulate_mapping_sharded(&pi, &mapping, 10_000, 7, 4))
     });
     // Same run with a full observability probe (windows + flow + heatmap,
     // without per-packet streaming): the delta against the unprobed

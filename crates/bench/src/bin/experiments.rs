@@ -1,8 +1,8 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! experiments <id>... [--fast] [--out DIR] [--injection bernoulli|geometric] [--shards N]
-//! experiments all [--fast] [--out DIR] [--injection bernoulli|geometric] [--shards N]
+//! experiments <id>... [--fast] [--out DIR] [--injection bernoulli|geometric]
+//! experiments all [--fast] [--out DIR] [--injection bernoulli|geometric]
 //! experiments list
 //! ```
 //!
@@ -12,77 +12,77 @@
 //! `--injection` selects the traffic-source process for the
 //! simulator-sweep experiments (loadcurve, validate, tails); sweeps
 //! default to the geometric fast path. Seeded-replay experiments ignore
-//! the flag.
+//! the flag. Worker threads for the sweep grid come from `OBM_WORKERS`
+//! (default: all detected cores).
 //!
-//! `--shards N` runs every paper-scenario simulation on the N-shard
-//! row-band parallel engine (bit-identical to serial; the effective
-//! count is clamped to the mesh's row count per run). The flag wins
-//! over the `OBM_SIM_SHARDS` environment variable; worker threads for
-//! the sweep grid itself come from `OBM_WORKERS` (default: all detected
-//! cores).
+//! Any other `--` option, or an option missing its value, is a usage
+//! error (exit code 2).
 //!
 //! Paper ids: table1, table3, table4, fig3, fig4, fig5, fig8, fig9,
 //! fig10, fig11, fig12, validate. Extension ids: ablation, loadcurve,
 //! scaling, weighted, torus, firstprinciples, optgap, queueing, fig3sim,
 //! oversub, nocparams, tails.
 
+#![forbid(unsafe_code)]
+
 use noc_sim::InjectionProcess;
 use obm_bench::experiments;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out_dir: Option<String> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let injection = match args
-        .iter()
-        .position(|a| a == "--injection")
-        .and_then(|i| args.get(i + 1))
-    {
-        None => InjectionProcess::Geometric,
-        Some(v) => match v.parse() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("--injection: {e}");
-                std::process::exit(2);
-            }
-        },
+const USAGE: &str =
+    "usage: experiments <id>...|all [--fast] [--out DIR] [--injection bernoulli|geometric]";
+
+/// Parsed command line.
+struct Cli {
+    fast: bool,
+    out_dir: Option<String>,
+    injection: InjectionProcess,
+    ids: Vec<String>,
+}
+
+/// Parse the arguments after the program name. Unknown options and
+/// options without their value are usage errors.
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        fast: false,
+        out_dir: None,
+        injection: InjectionProcess::Geometric,
+        ids: Vec::new(),
     };
-    // An explicit --shards wins over OBM_SIM_SHARDS; publishing it back
-    // to the environment (before any sweep thread exists) lets every
-    // simulation entry point pick it up through `noc_sim::env_shards`.
-    if let Some(v) = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-    {
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => std::env::set_var("OBM_SIM_SHARDS", v),
-            _ => {
-                eprintln!("--shards: expected a positive integer, got '{v}'");
-                std::process::exit(2);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--fast" => cli.fast = true,
+            "--out" => {
+                let dir = it.next().ok_or("--out: missing directory")?;
+                cli.out_dir = Some(dir.clone());
             }
+            "--injection" => {
+                let v = it.next().ok_or("--injection: missing process")?;
+                cli.injection = v.parse().map_err(|e| format!("--injection: {e}"))?;
+            }
+            opt if opt.starts_with("--") => return Err(format!("unknown option '{opt}'")),
+            id => cli.ids.push(id.to_string()),
         }
     }
-    let mut skip_next = false;
-    let ids: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--out" || *a == "--injection" || *a == "--shards" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
+    Ok(cli)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Cli {
+        fast,
+        out_dir,
+        injection,
+        ids,
+    } = match parse(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("experiments: {e}");
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
+    };
+    let ids: Vec<&str> = ids.iter().map(String::as_str).collect();
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out directory {dir}: {e}");
@@ -91,9 +91,7 @@ fn main() {
     }
 
     if ids.is_empty() || ids == ["list"] {
-        eprintln!(
-            "usage: experiments <id>...|all [--fast] [--injection bernoulli|geometric] [--shards N]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("available experiments:");
         for id in experiments::ALL {
             eprintln!("  {id}");

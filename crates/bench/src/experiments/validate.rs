@@ -184,7 +184,6 @@ pub fn run_with_metrics(
         "pool_detected_cores",
         obm_core::pool::detected_cores() as f64,
     );
-    metrics.gauge_set("sim_shards_env", noc_sim::env_shards().unwrap_or(1) as f64);
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
     let agg_cps = gauge("validate_sim_cycles_per_sec");
     let agg_fps = gauge("validate_sim_flit_hops_per_sec");
@@ -196,8 +195,7 @@ pub fn run_with_metrics(
          Portfolio winner improves on plain SSS by up to {:.2}% max-APL.\n\
          Simulator throughput: {:.2} Mcycles/s, {:.2} Mflit-hops/s per worker thread.\n\
          Portfolio evaluation throughput: {:.2} Mevals/s aggregate over timed tasks.\n\
-         Sweep pool: {} effective worker(s) on {} detected core(s); \
-         simulator shards: {} per run (OBM_SIM_SHARDS).\n",
+         Sweep pool: {} effective worker(s) on {} detected core(s).\n",
         t.render(),
         max_err * 100.0,
         max_tdq,
@@ -207,7 +205,6 @@ pub fn run_with_metrics(
         agg_eps / 1e6,
         gauge("pool_effective_workers") as usize,
         gauge("pool_detected_cores") as usize,
-        gauge("sim_shards_env") as usize,
     )
 }
 

@@ -3,6 +3,8 @@
 //! `cargo run --release -p obm-bench --bin experiments -- all`) and hosts
 //! the criterion benchmarks.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod harness;
 pub mod lineup;

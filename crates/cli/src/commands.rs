@@ -237,7 +237,6 @@ pub fn simulate_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.seed = seed ^ 0xC0FFEE;
@@ -295,7 +294,6 @@ pub fn trace_command(
     let mapper = mapper_by_name(algo)?;
     let mesh = spec.mesh();
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.telemetry_window = window;
@@ -395,7 +393,6 @@ pub fn heatmap_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.seed = seed ^ 0xC0FFEE;
@@ -531,7 +528,6 @@ pub fn chrome_trace_command(
     let mapper = mapper_by_name(algo)?;
     let mapping = mapper.map(&inst, seed);
     let mut cfg = SimConfig::for_layout(&chip).map_err(|e| format!("invalid layout: {e}"))?;
-    cfg.shards = noc_sim::env_shards().unwrap_or(1);
     cfg.warmup_cycles = (cycles / 10).max(100);
     cfg.measure_cycles = cycles;
     cfg.telemetry_window = window;
@@ -782,7 +778,6 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
         "cli_detected_cores",
         obm_core::pool::detected_cores() as f64,
     );
-    metrics.gauge_set("sim_shards_env", noc_sim::env_shards().unwrap_or(1) as f64);
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
 
     let mut out = String::new();
@@ -793,14 +788,11 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
         outcome.termination
     ));
     // Effective parallelism, so solve logs record what actually ran:
-    // configured workers vs detected cores, and the simulator shard knob
-    // (bit-identical to serial; consumed by `obm simulate`/`trace`).
+    // configured workers vs detected cores.
     out.push_str(&format!(
-        "parallelism: {} configured worker(s) on {} detected core(s); \
-         sim shards: {} (OBM_SIM_SHARDS)\n",
+        "parallelism: {} configured worker(s) on {} detected core(s)\n",
         gauge("portfolio_workers") as usize,
         gauge("cli_detected_cores") as usize,
-        gauge("sim_shards_env") as usize,
     ));
     out.push_str(&format!(
         "throughput: {:.0} eval(s)/s aggregate over timed tasks (portfolio_evals_per_sec)\n",

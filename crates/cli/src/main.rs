@@ -33,6 +33,8 @@
 //! metrics snapshot (DESIGN.md §17); `obm status <snapshot>...` renders
 //! one or more exported snapshots as an ASCII dashboard.
 
+#![forbid(unsafe_code)]
+
 mod commands;
 mod spec;
 

@@ -39,6 +39,8 @@
 //! assert!(workload.apps[0].total_rate() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod address;
 pub mod cache;
 pub mod coherence;

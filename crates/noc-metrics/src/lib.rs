@@ -1,7 +1,7 @@
 //! Runtime metrics for the mapping engine (DESIGN.md §17).
 //!
-//! Every long-running subsystem — the portfolio race, the sharded
-//! simulator, the online remap controller, the outer placement search —
+//! Every long-running subsystem — the portfolio race, the simulator,
+//! the online remap controller, the outer placement search —
 //! reports into one [`MetricsRegistry`] through a cheap, cloneable
 //! [`MetricsHandle`]. The handle is `Option`-shaped: a disabled handle
 //! (the default everywhere) turns every instrument into a never-taken
@@ -37,6 +37,8 @@
 //! [`MetricsHandle::wall_gauge_set`]) as zero. Under the logical clock a
 //! fixed seed produces a byte-identical snapshot, which is what
 //! `scripts/check.sh` pins.
+
+#![forbid(unsafe_code)]
 
 mod dashboard;
 mod export;

@@ -19,6 +19,7 @@
 //! Everything here is pure, deterministic math with no I/O; the cycle-level
 //! simulator in the `noc-sim` crate validates these closed forms.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod geometry;

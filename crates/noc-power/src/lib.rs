@@ -17,6 +17,7 @@
 //! claims between mapping algorithms, only the router:link energy ratio
 //! materially matters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use noc_model::{Mesh, TileId, TileLatencies};

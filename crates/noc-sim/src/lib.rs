@@ -100,10 +100,11 @@
 //!
 //! [`WindowRecord`]: noc_telemetry::WindowRecord
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod network;
 pub mod packet;
-mod shard;
 pub mod stats;
 pub mod traffic;
 
@@ -111,9 +112,7 @@ pub mod traffic;
 /// sinks without naming a second dependency.
 pub use noc_telemetry as telemetry;
 
-pub use config::{
-    env_shards, ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder,
-};
+pub use config::{ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder};
 pub use network::{Network, SourceCounters, SwapController};
 pub use stats::{LatencyAccum, SimReport};
 pub use traffic::{Schedule, SourceSpec, TrafficSpec};

@@ -24,10 +24,7 @@ use crate::packet::{Flit, PacketId, PacketInfo, PacketStamps, FLIT_HEAD, FLIT_ME
 use crate::stats::SimReport;
 use crate::traffic::{SourceSpec, TrafficSpec};
 use noc_metrics::MetricsHandle;
-use noc_model::{
-    route_xy, route_xy_torus, route_yx, route_yx_torus, Mesh, PacketClass, RouteDir, TileId,
-    Topology,
-};
+use noc_model::{Mesh, PacketClass, TileId, Topology};
 use noc_telemetry::{
     FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, ProfileRecord,
     WindowRecord, Windower,
@@ -44,16 +41,6 @@ const P_SOUTH: usize = 1;
 const P_WEST: usize = 2;
 const P_EAST: usize = 3;
 const P_LOCAL: usize = 4;
-
-fn port_of(dir: RouteDir) -> usize {
-    match dir {
-        RouteDir::North => P_NORTH,
-        RouteDir::South => P_SOUTH,
-        RouteDir::West => P_WEST,
-        RouteDir::East => P_EAST,
-        RouteDir::Local => P_LOCAL,
-    }
-}
 
 /// Input port at the neighbour that an output port feeds into.
 fn opposite(port: usize) -> usize {
@@ -117,7 +104,7 @@ struct OutVc {
 }
 
 #[derive(Debug)]
-pub(crate) struct Router {
+struct Router {
     /// Input VCs, indexed by arbitration slot (`in_port * total_vcs + vc`)
     /// — one flat array, so the hot scan does a single indexed load per
     /// visited slot instead of chasing two nested `Vec`s.
@@ -146,8 +133,8 @@ pub(crate) struct Router {
     /// Lower bound on the `ready` cycle of every occupied slot's front
     /// flit (`u64::MAX` when empty). Every buffer push lowers it; each
     /// executed step recomputes it exactly. While `wake > cycle` no front
-    /// can leave, so the step would change nothing and `step_band` skips
-    /// it (DESIGN.md §16.3).
+    /// can leave, so the step would change nothing and the router pass
+    /// skips it (DESIGN.md §16.3).
     wake: u64,
 }
 
@@ -213,7 +200,7 @@ struct NiCur {
 /// Per-tile network interface: source queues feeding the router's local
 /// input port, one flit per cycle.
 #[derive(Debug)]
-pub(crate) struct Ni {
+struct Ni {
     /// Per-class queues of waiting packets.
     queues: [VecDeque<NiQueued>; 2],
     /// Packet currently being injected.
@@ -254,8 +241,12 @@ fn class_index(class: PacketClass) -> usize {
 /// accumulators are summed in delivery order, so visiting routers in any
 /// other order would change low bits of the totals and break bit-exact
 /// reproducibility against the pre-optimization simulator.
+///
+/// The per-cycle passes walk `words` directly, copying each word before
+/// visiting its members, so a member may be removed mid-walk without
+/// disturbing the iteration.
 #[derive(Debug, Clone)]
-pub(crate) struct ActiveSet {
+struct ActiveSet {
     words: Vec<u64>,
 }
 
@@ -275,39 +266,46 @@ impl ActiveSet {
     fn remove(&mut self, i: usize) {
         self.words[i / 64] &= !(1 << (i % 64));
     }
-
-    /// Collect the set members in `lo..hi` into `out`, ascending. This is
-    /// the per-cycle worklist snapshot: the serial driver collects the
-    /// full range, the shard dispatcher one band per worker.
-    pub(crate) fn collect_range(&self, lo: usize, hi: usize, out: &mut Vec<u32>) {
-        out.clear();
-        let first = lo / 64;
-        let last = hi.div_ceil(64);
-        for w in first..last {
-            let mut bits = self.words[w];
-            if w == first {
-                bits &= u64::MAX << (lo % 64);
-            }
-            let base = w * 64;
-            if base + 64 > hi {
-                bits &= (1u64 << (hi - base)) - 1;
-            }
-            while bits != 0 {
-                out.push((base + bits.trailing_zeros() as usize) as u32);
-                bits &= bits - 1;
-            }
-        }
-    }
 }
 
 /// A flit crossing a link this cycle, to be buffered at the downstream
-/// router once the per-router pass completes.
+/// router once the router pass completes.
 struct Delivery {
     router: usize,
     port: usize,
     vc: usize,
     flit: Flit,
     ready: u64,
+}
+
+/// A credit returned upstream once the router pass completes.
+enum Credit {
+    Router {
+        router: usize,
+        port: usize,
+        vc: usize,
+    },
+    Ni {
+        tile: usize,
+        vc: usize,
+    },
+}
+
+/// The effects one router pass defers to its end, applied in this field
+/// order: tail ejections, then every delivery, then every credit
+/// (DESIGN.md §16). Deferral is what makes a router's step independent
+/// of the routers visited before it in the same cycle: with
+/// `link_cycles = 0` or `router_stages = 0` a flit or credit applied
+/// mid-pass would be usable again the same cycle. One buffer is reused
+/// for every cycle of a run, so the steady state allocates nothing.
+#[derive(Default)]
+struct Transfers {
+    /// Packets whose tail flit ejected, in ejection order (the order of
+    /// the report's f64 sums and of slab recycling).
+    tails: Vec<PacketId>,
+    /// Flits crossing links; one per link traversal.
+    deliveries: Vec<Delivery>,
+    credits: Vec<Credit>,
 }
 
 /// Flow-level spatial observability state, allocated only when a probe is
@@ -340,27 +338,9 @@ fn lap(mark: &mut Instant) -> u64 {
     nanos
 }
 
-/// A credit returned upstream once the per-router pass completes.
-enum Credit {
-    Router {
-        router: usize,
-        port: usize,
-        vc: usize,
-    },
-    Ni {
-        tile: usize,
-        vc: usize,
-    },
-}
-
 /// Immutable per-run context for the router/NI datapath: everything the
-/// per-cycle pass reads but never writes, hoisted out of `Network` so a
-/// band of routers can be advanced with no access to the coordinator
-/// state. Shared across shard workers behind an `Arc`.
-pub(crate) struct StepCtx {
-    mesh: Mesh,
-    topology: Topology,
-    routing: RoutingKind,
+/// per-cycle pass reads but never writes.
+struct StepCtx {
     crossbar_input_limit: bool,
     /// `router_stages`.
     stages: u64,
@@ -380,138 +360,73 @@ pub(crate) struct StepCtx {
     /// `neighbors[tile][port]` for the four cardinal ports, torus wrap
     /// applied; `u16::MAX` marks a mesh edge.
     neighbors: Vec<[u16; 4]>,
-    /// Whether a probe is attached: gates observability event emission so
-    /// the plain path records nothing.
-    probed: bool,
-    /// Whether a metrics registry is attached: gates the wall-clock span
-    /// timestamps in [`run_band`] (DESIGN.md §17). Like `probed`, false
-    /// costs one never-taken branch per band pass.
-    timed: bool,
+    /// `[row, col]` of every tile, so routing a head flit needs no
+    /// division.
+    coords: Vec<[u32; 2]>,
+    rows: u32,
+    cols: u32,
+    /// Torus topology: each dimension may route through its wrap link.
+    wrap: bool,
+    /// YX routing (rows first); XY otherwise.
+    yx: bool,
 }
 
-/// An observability or coordinator-state side effect recorded by the
-/// datapath pass in execution order and replayed by the coordinator at
-/// the cycle barrier. Everything order-sensitive (f64 latency sums,
-/// telemetry records, slab recycling) lives behind these events; the
-/// pass itself only mutates its own band's routers and NIs.
-#[derive(Debug, Clone, Copy)]
-enum SimEvent {
-    /// A flit entered `(router, vc)` from the local NI (heatmap ledger).
-    Buffer { r: u32, vc: u8 },
-    /// A packet's head flit left its NI (lifecycle stamp).
-    HeadInject(PacketId),
-    /// A flit left `(router, vc)` through the crossbar (heatmap ledger).
-    Pop { r: u32, vc: u8 },
-    /// Arbitration passed over `n` occupied slots at `r` whose crossbar
-    /// input was already claimed (one event per output-port scan).
-    SwitchStall { r: u32, n: u8 },
-    /// No free output VC in the packet's class.
-    VcStall(u32),
-    /// Downstream buffer full.
-    CreditStall(u32),
-    /// A flit crossed the link out of `r` through `port`.
-    LinkTraversal { r: u32, port: u8 },
-    /// A packet's head flit ejected at its destination.
-    HeadEject(PacketId),
-    /// A packet's tail flit ejected: the coordinator runs the full
-    /// delivery bookkeeping (report, windower, flow record, slab free).
-    TailEject(PacketId),
-}
-
-/// Per-cycle effects of one band's inject + router pass, drained by the
-/// coordinator at the cycle barrier in ascending shard order — the fixed
-/// merge order that makes any shard count bit-identical to the serial
-/// pass (DESIGN.md §16).
-#[derive(Default)]
-pub(crate) struct ShardSink {
-    /// Flits crossing links this cycle (possibly into another band).
-    deliveries: Vec<Delivery>,
-    /// Credits returned upstream (possibly into another band).
-    credits: Vec<Credit>,
-    /// Observability events from the inject phase, in execution order.
-    inject_events: Vec<SimEvent>,
-    /// Events from the router pass (including tail ejections), in order.
-    step_events: Vec<SimEvent>,
-    /// Routers that received an NI flit this cycle (activity insert).
-    injected_routers: Vec<u32>,
-    /// Routers that drained to zero buffered flits (activity remove).
-    router_removals: Vec<u32>,
-    /// NIs that ran out of queued packets (activity remove).
-    ni_removals: Vec<u32>,
-    /// Link-traversal count delta.
-    link_traversals: u64,
-    /// Router steps executed (not skipped as asleep) this cycle.
-    router_steps: u64,
-    /// Net change to the global buffered-flit count (injects minus pops;
-    /// deliveries are counted when applied).
-    buffered: isize,
-    /// Wall-clock time spent inside [`run_band`] on this sink's shard
-    /// (metrics span `sim/shard/band`; zero unless `StepCtx::timed`).
-    /// Drained — with `band_count`/`band_max_nanos` — by the coordinator
-    /// at the barrier, so timing never feeds back into simulation state.
-    band_nanos: u64,
-    band_count: u64,
-    band_max_nanos: u64,
-}
-
-/// Advance one band's NIs and routers by one cycle. Both id lists are
-/// global tile indices within `base..base + routers.len()`, ascending;
-/// effects land in `sink`. This is the whole per-cycle datapath — the
-/// serial driver calls it once over the full mesh, each shard worker
-/// over its own row band.
-#[allow(clippy::too_many_arguments)] // the shard-worker handoff: bands + worklists + cycle + ctx + sink
-pub(crate) fn run_band(
-    nis: &mut [Ni],
-    routers: &mut [Router],
-    base: usize,
-    ni_ids: &[u32],
-    router_ids: &[u32],
-    cycle: u64,
-    ctx: &StepCtx,
-    sink: &mut ShardSink,
-) {
-    let start = ctx.timed.then(Instant::now);
-    inject_band(nis, routers, base, ni_ids, cycle, ctx, sink);
-    step_band(routers, base, router_ids, cycle, ctx, sink);
-    if let Some(s) = start {
-        let nanos = s.elapsed().as_nanos() as u64;
-        sink.band_nanos += nanos;
-        sink.band_count += 1;
-        sink.band_max_nanos = sink.band_max_nanos.max(nanos);
-    }
-}
-
-/// NI injection for one band: one flit per cycle per tile into the
-/// router's local input port, credit-gated. Band-local by construction —
-/// NI `t` only ever feeds router `t`.
-fn inject_band(
-    nis: &mut [Ni],
-    routers: &mut [Router],
-    base: usize,
-    ni_ids: &[u32],
-    cycle: u64,
-    ctx: &StepCtx,
-    sink: &mut ShardSink,
-) {
-    for &t in ni_ids {
-        let i = t as usize - base;
-        inject_tile_core(&mut nis[i], &mut routers[i], t, cycle, ctx, sink);
-        if !nis[i].pending() {
-            sink.ni_removals.push(t);
+impl StepCtx {
+    fn new(cfg: &SimConfig) -> Self {
+        let total_vcs = cfg.total_vcs();
+        let slots = NUM_PORTS * total_vcs;
+        let mut slot_port = [0u8; MAX_ARBITRATION_SLOTS];
+        for (s, p) in slot_port.iter_mut().enumerate().take(slots) {
+            *p = (s / total_vcs) as u8;
+        }
+        let vc_mask = (1u64 << total_vcs) - 1;
+        let port_slots = std::array::from_fn(|p| vc_mask << (p * total_vcs));
+        let mesh = &cfg.mesh;
+        let neighbors = mesh
+            .tiles()
+            .map(|t| {
+                std::array::from_fn(|port| {
+                    neighbor(mesh, cfg.topology, t, port).map_or(u16::MAX, |nb| nb.index() as u16)
+                })
+            })
+            .collect();
+        let coords = mesh
+            .tiles()
+            .map(|t| {
+                let c = mesh.coord(t);
+                [c.row as u32, c.col as u32]
+            })
+            .collect();
+        StepCtx {
+            crossbar_input_limit: cfg.crossbar_input_limit,
+            stages: cfg.router_stages,
+            link: cfg.link_cycles,
+            vpc: cfg.vcs_per_class,
+            total_vcs,
+            slots,
+            slot_port,
+            port_slots,
+            neighbors,
+            coords,
+            rows: mesh.rows() as u32,
+            cols: mesh.cols() as u32,
+            wrap: cfg.topology == Topology::Torus,
+            yx: cfg.routing == RoutingKind::Yx,
         }
     }
 }
 
 /// One NI's injection step: select a packet if idle, then push one flit
-/// into the router's local input port, credit-gated.
-fn inject_tile_core(
+/// into the router's local input port, credit-gated. Returns whether a
+/// flit entered the router.
+fn inject_tile(
     ni: &mut Ni,
     router: &mut Router,
-    t: u32,
+    t: usize,
     cycle: u64,
     ctx: &StepCtx,
-    sink: &mut ShardSink,
-) {
+    flow: Option<&mut FlowState>,
+) -> bool {
     // Select a packet if none is mid-injection.
     if ni.current.is_none() {
         let rr = ni.rr_class;
@@ -542,93 +457,87 @@ fn inject_tile_core(
         }
     }
     // Push one flit of the current packet if credit allows.
-    if let Some(cur) = ni.current {
-        let vc = cur.vc as usize;
-        if ni.credits[vc] == 0 {
-            return;
-        }
-        let mut flags = if cur.mem { FLIT_MEM } else { 0 };
+    let Some(cur) = ni.current else {
+        return false;
+    };
+    let vc = cur.vc as usize;
+    if ni.credits[vc] == 0 {
+        return false;
+    }
+    let mut flags = if cur.mem { FLIT_MEM } else { 0 };
+    if cur.idx == 0 {
+        flags |= FLIT_HEAD;
+    }
+    if cur.idx + 1 == cur.len {
+        flags |= FLIT_TAIL;
+    }
+    ni.credits[vc] -= 1;
+    let slot = P_LOCAL * ctx.total_vcs + vc;
+    router.inputs[slot].buf.push_back(TimedFlit {
+        flit: Flit {
+            packet: cur.id,
+            dst: cur.dst,
+            flags,
+        },
+        ready: cycle + ctx.stages,
+    });
+    router.buffered += 1;
+    router.occ |= 1 << slot;
+    router.wake = router.wake.min(cycle + ctx.stages);
+    if let Some(fl) = flow {
+        fl.heatmap.on_buffer(t, vc, cycle);
         if cur.idx == 0 {
-            flags |= FLIT_HEAD;
-        }
-        if cur.idx + 1 == cur.len {
-            flags |= FLIT_TAIL;
-        }
-        ni.credits[vc] -= 1;
-        let slot = P_LOCAL * ctx.total_vcs + vc;
-        router.inputs[slot].buf.push_back(TimedFlit {
-            flit: Flit {
-                packet: cur.id,
-                dst: cur.dst,
-                flags,
-            },
-            ready: cycle + ctx.stages,
-        });
-        router.buffered += 1;
-        router.occ |= 1 << slot;
-        router.wake = router.wake.min(cycle + ctx.stages);
-        sink.buffered += 1;
-        sink.injected_routers.push(t);
-        if ctx.probed {
-            sink.inject_events
-                .push(SimEvent::Buffer { r: t, vc: cur.vc });
-            if cur.idx == 0 {
-                sink.inject_events.push(SimEvent::HeadInject(cur.id));
-            }
-        }
-        ni.current = if cur.idx + 1 == cur.len {
-            None
-        } else {
-            Some(NiCur {
-                idx: cur.idx + 1,
-                ..cur
-            })
-        };
-    }
-}
-
-/// Router pass for one band: visit the listed routers in ascending order
-/// and advance each by one cycle. A router still asleep (`wake > cycle`:
-/// no front flit out of the pipeline) is skipped, which is exact — such a
-/// step routes nothing, allocates nothing, records no event and leaves
-/// the round-robin pointers alone (DESIGN.md §16.3).
-fn step_band(
-    routers: &mut [Router],
-    base: usize,
-    router_ids: &[u32],
-    cycle: u64,
-    ctx: &StepCtx,
-    sink: &mut ShardSink,
-) {
-    for &rid in router_ids {
-        let router = &mut routers[rid as usize - base];
-        if router.buffered == 0 {
-            sink.router_removals.push(rid);
-            continue;
-        }
-        if router.wake > cycle {
-            debug_assert!(router.sleeps_soundly(cycle), "router {rid} skipped awake");
-            continue;
-        }
-        sink.router_steps += 1;
-        step_router_core(router, rid as usize, cycle, ctx, sink);
-        if router.buffered == 0 {
-            sink.router_removals.push(rid);
+            fl.stamps[cur.id as usize].head_inject = cycle;
         }
     }
+    ni.current = if cur.idx + 1 == cur.len {
+        None
+    } else {
+        Some(NiCur {
+            idx: cur.idx + 1,
+            ..cur
+        })
+    };
+    true
 }
 
-/// Output port of a head flit for `dst` at router `r`. A pure function
-/// of `(r, dst)`, so when the simulator computes it is unobservable.
+/// Output port of a head flit for `dst` at router `r`: dimension-order
+/// routing over the coordinate table, one code path for both topologies
+/// and both dimension orders (it agrees with
+/// `noc_model::route_{xy,yx}{,_torus}` on every pair; unit-tested). A
+/// pure function of `(r, dst)`, so when the simulator computes it is
+/// unobservable.
 fn route_port(ctx: &StepCtx, r: usize, dst: u16) -> usize {
-    let here = TileId(r);
-    let dst = TileId(dst as usize);
-    port_of(match (ctx.topology, ctx.routing) {
-        (Topology::Mesh, RoutingKind::Xy) => route_xy(&ctx.mesh, here, dst),
-        (Topology::Mesh, RoutingKind::Yx) => route_yx(&ctx.mesh, here, dst),
-        (Topology::Torus, RoutingKind::Xy) => route_xy_torus(&ctx.mesh, here, dst),
-        (Topology::Torus, RoutingKind::Yx) => route_yx_torus(&ctx.mesh, here, dst),
-    })
+    let [hr, hc] = ctx.coords[r];
+    let [dr, dc] = ctx.coords[dst as usize];
+    let col = axis_port(hc, dc, ctx.cols, ctx.wrap, P_EAST, P_WEST);
+    let row = axis_port(hr, dr, ctx.rows, ctx.wrap, P_SOUTH, P_NORTH);
+    let (first, second) = if ctx.yx { (row, col) } else { (col, row) };
+    if first != P_LOCAL {
+        first
+    } else {
+        second
+    }
+}
+
+/// The port one step from `h` towards `d` along an axis of `n` positions
+/// (`P_LOCAL` when `h == d`): `fwd` when `d` lies ahead — on a ring, when
+/// the forward distance is at most half the ring, ties going forward.
+#[inline]
+fn axis_port(h: u32, d: u32, n: u32, wrap: bool, fwd: usize, back: usize) -> usize {
+    let ahead = if wrap {
+        let dist = if d >= h { d - h } else { d + n - h };
+        2 * dist <= n
+    } else {
+        d > h
+    };
+    if h == d {
+        P_LOCAL
+    } else if ahead {
+        fwd
+    } else {
+        back
+    }
 }
 
 /// The cycle `slot`'s front flit may leave its buffer (`u64::MAX` when
@@ -649,9 +558,9 @@ fn front_ready(router: &mut Router, slot: usize, r: usize, cycle: u64, ctx: &Ste
 }
 
 /// One cycle of a single router: routing, VC allocation, switch
-/// allocation, traversal, credit return. Touches only this router's own
-/// state; cross-router effects (deliveries, credits) and observability
-/// events go to `sink`.
+/// allocation, traversal, credit return. Mutates only this router;
+/// effects on other routers, NIs and the packet slab go to `out`, and
+/// probe hooks run inline on `flow`.
 ///
 /// Switch allocation visits, per output port and in round-robin order,
 /// only the slots that can win: routed to that port, front flit out of
@@ -659,12 +568,13 @@ fn front_ready(router: &mut Router, slot: usize, r: usize, cycle: u64, ctx: &Ste
 /// Every skipped slot would have failed one of those checks with no side
 /// effect, so the winner, the VC allocations and the stalls charged along
 /// the way are those of a scan over every occupied slot.
-fn step_router_core(
+fn step_router(
     router: &mut Router,
     r: usize,
     cycle: u64,
     ctx: &StepCtx,
-    sink: &mut ShardSink,
+    out: &mut Transfers,
+    mut flow: Option<&mut FlowState>,
 ) {
     let total_vcs = ctx.total_vcs;
     // Occupied slots whose front flit is switch-ready this cycle, and the
@@ -712,8 +622,8 @@ fn step_router_core(
                         };
                         let mut range = class * ctx.vpc..(class + 1) * ctx.vpc;
                         let Some(v) = range.find(|&v| !router.outputs[obase + v].busy) else {
-                            if ctx.probed {
-                                sink.step_events.push(SimEvent::VcStall(r as u32));
+                            if let Some(fl) = flow.as_deref_mut() {
+                                fl.heatmap.on_vc_stall(r);
                             }
                             continue; // no VC available this cycle
                         };
@@ -723,8 +633,8 @@ fn step_router_core(
                     }
                 };
                 if router.outputs[obase + ovc].credits == 0 {
-                    if ctx.probed {
-                        sink.step_events.push(SimEvent::CreditStall(r as u32));
+                    if let Some(fl) = flow.as_deref_mut() {
+                        fl.heatmap.on_credit_stall(r);
                     }
                     continue; // downstream buffer full
                 }
@@ -732,7 +642,7 @@ fn step_router_core(
                 break 'scan;
             }
         }
-        if ctx.probed && used != 0 {
+        if let Some(fl) = flow.as_deref_mut() {
             // Switch stalls: the occupied slots of claimed inputs that a
             // scan over every occupied slot passes before the winner (all
             // of them when there is none). Counted as an upper bound on
@@ -743,12 +653,7 @@ fn step_router_core(
                 Some((w, _)) => upper | !(u64::MAX << w),
             };
             let n = (router.occ & used & visited).count_ones();
-            if n > 0 {
-                sink.step_events.push(SimEvent::SwitchStall {
-                    r: r as u32,
-                    n: n as u8,
-                });
-            }
+            fl.heatmap.on_switch_stalls(r, n.into());
         }
         let Some((slot, ovc)) = winner else {
             continue;
@@ -765,20 +670,16 @@ fn step_router_core(
             continue; // unreachable: a ready slot holds a flit
         };
         router.buffered -= 1;
-        sink.buffered -= 1;
-        if ctx.probed {
-            sink.step_events.push(SimEvent::Pop {
-                r: r as u32,
-                vc: vc as u8,
-            });
+        if let Some(fl) = flow.as_deref_mut() {
+            fl.heatmap.on_pop(r, vc, cycle);
         }
         // Credit back to whoever feeds this input VC.
         if in_port == P_LOCAL {
-            sink.credits.push(Credit::Ni { tile: r, vc });
+            out.credits.push(Credit::Ni { tile: r, vc });
         } else {
             let up = ctx.neighbors[r][in_port];
             if up != u16::MAX {
-                sink.credits.push(Credit::Router {
+                out.credits.push(Credit::Router {
                     router: up as usize,
                     port: opposite(in_port),
                     vc,
@@ -786,29 +687,27 @@ fn step_router_core(
             }
         }
         if out_port == P_LOCAL {
-            // Ejection: the coordinator replays the bookkeeping (report,
-            // windower, flow record, slab recycling) at the barrier.
-            if ctx.probed && flit.is_head() {
-                sink.step_events.push(SimEvent::HeadEject(flit.packet));
+            // Ejection: the tail's bookkeeping (report, windower, flow
+            // record, slab recycling) runs after the pass.
+            if flit.is_head() {
+                if let Some(fl) = flow.as_deref_mut() {
+                    fl.stamps[flit.packet as usize].head_eject = cycle;
+                }
             }
             if flit.is_tail() {
-                sink.step_events.push(SimEvent::TailEject(flit.packet));
+                out.tails.push(flit.packet);
             }
         } else {
             router.outputs[out_port * total_vcs + ovc].credits -= 1;
-            sink.link_traversals += 1;
-            if ctx.probed {
-                sink.step_events.push(SimEvent::LinkTraversal {
-                    r: r as u32,
-                    port: out_port as u8,
-                });
+            if let Some(fl) = flow.as_deref_mut() {
+                fl.heatmap.on_link_traversal(r, out_port);
             }
             let next = ctx.neighbors[r][out_port];
             debug_assert!(next != u16::MAX, "route stays on chip");
             // Charge the downstream pipeline unless the flit will eject
             // there.
             let extra = if next == flit.dst { 0 } else { ctx.stages };
-            sink.deliveries.push(Delivery {
+            out.deliveries.push(Delivery {
                 router: next as usize,
                 port: opposite(out_port),
                 vc: ovc,
@@ -896,15 +795,9 @@ pub struct Network {
     active_routers: ActiveSet,
     /// NIs with a queued or mid-injection packet.
     active_nis: ActiveSet,
-    /// Reusable per-cycle effect sink for the serial path (drained, never
-    /// dropped, so the steady state allocates nothing). The sharded path
-    /// keeps one sink per worker inside the [`ShardPool`] instead.
-    ///
-    /// [`ShardPool`]: crate::shard::ShardPool
-    scratch_sink: ShardSink,
-    /// Reusable worklist snapshots for the serial path.
-    scratch_rids: Vec<u32>,
-    scratch_nids: Vec<u32>,
+    /// The router pass's deferred effects (drained every cycle, never
+    /// dropped).
+    transfers: Transfers,
     /// Windowed telemetry accumulator. `None` unless the run was started
     /// through [`run_probed`](Network::run_probed) with an enabled probe,
     /// so the plain [`run`](Network::run) path pays one never-taken branch
@@ -937,26 +830,13 @@ pub struct Network {
     metrics: MetricsHandle,
 }
 
-/// Wall-clock accumulators for the coordinator-side metric spans, kept
+/// Wall-clock accumulator for the `sim/serial/cycle` metric span, kept
 /// out of `Network` so one run's timings never leak into the next.
 #[derive(Default)]
-struct MetricTimes {
-    /// Shard-pool dispatch + barrier wait (`sim/shard/barrier`).
-    barrier_nanos: u64,
-    barrier_count: u64,
-    barrier_max: u64,
-    /// Sink merge + event replay + transfer apply (`sim/shard/replay`).
-    replay_nanos: u64,
-    replay_count: u64,
-    replay_max: u64,
-    /// Worker-side band passes, drained from the sinks (`sim/shard/band`).
-    band_nanos: u64,
-    band_count: u64,
-    band_max: u64,
-    /// Full serial-path cycles (`sim/serial/cycle`).
-    serial_nanos: u64,
-    serial_count: u64,
-    serial_max: u64,
+struct CycleTimes {
+    nanos: u64,
+    count: u64,
+    max: u64,
 }
 
 /// Class tag stored in arrival events (heap tuples order by it).
@@ -1112,9 +992,7 @@ impl Network {
             cycles_run: 0,
             active_routers: ActiveSet::new(n),
             active_nis: ActiveSet::new(n),
-            scratch_sink: ShardSink::default(),
-            scratch_rids: Vec::new(),
-            scratch_nids: Vec::new(),
+            transfers: Transfers::default(),
             windower: None,
             flow: None,
             profile: None,
@@ -1128,8 +1006,8 @@ impl Network {
 
     /// Attach a runtime-metrics handle (DESIGN.md §17). The run then
     /// reports `sim_*` counters (cycles, injected/delivered packets,
-    /// link traversals, skipped cycles, router steps), a `sim_shards` gauge, and the
-    /// `sim/shard/{barrier,band,replay}` / `sim/serial/cycle` spans.
+    /// link traversals, skipped cycles, router steps), a
+    /// `sim_cycles_per_sec` wall gauge and the `sim/serial/cycle` span.
     /// Metrics are write-only observers: results stay bit-identical to
     /// a run without the handle (the PR 2 purity contract).
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
@@ -1199,79 +1077,11 @@ impl Network {
         probe: &mut dyn Probe,
         mut controller: Option<&mut dyn SwapController>,
     ) -> Result<SimReport, ConfigError> {
-        let ctx = self.step_ctx(probe.is_enabled());
-        let shards = self.cfg.effective_shards();
-        if shards > 1 {
-            let ctx = std::sync::Arc::new(ctx);
-            let rows = self.cfg.mesh.rows();
-            let cols = self.cfg.mesh.cols();
-            // Workers live exactly as long as the drive loop: the scope
-            // joins them after the pool (and with it the command channels)
-            // is dropped.
-            std::thread::scope(|scope| {
-                let mut pool =
-                    crate::shard::ShardPool::start(scope, rows, cols, shards, ctx.clone());
-                let out = self.drive(probe, controller.as_deref_mut(), &ctx, Some(&mut pool));
-                drop(pool);
-                out
-            })
-        } else {
-            self.drive(probe, controller, &ctx, None)
-        }
-    }
-
-    /// Immutable datapath context for this run (see [`StepCtx`]).
-    fn step_ctx(&self, probed: bool) -> StepCtx {
-        let total_vcs = self.cfg.total_vcs();
-        let slots = NUM_PORTS * total_vcs;
-        let mut slot_port = [0u8; MAX_ARBITRATION_SLOTS];
-        for (s, p) in slot_port.iter_mut().enumerate().take(slots) {
-            *p = (s / total_vcs) as u8;
-        }
-        let vc_mask = (1u64 << total_vcs) - 1;
-        let port_slots = std::array::from_fn(|p| vc_mask << (p * total_vcs));
-        let n = self.cfg.mesh.num_tiles();
-        let mut neighbors = vec![[u16::MAX; 4]; n];
-        for (t, row) in neighbors.iter_mut().enumerate() {
-            for (port, slot) in row.iter_mut().enumerate() {
-                if let Some(nb) = neighbor(&self.cfg.mesh, self.cfg.topology, TileId(t), port) {
-                    *slot = nb.index() as u16;
-                }
-            }
-        }
-        StepCtx {
-            mesh: self.cfg.mesh,
-            topology: self.cfg.topology,
-            routing: self.cfg.routing,
-            crossbar_input_limit: self.cfg.crossbar_input_limit,
-            stages: self.cfg.router_stages,
-            link: self.cfg.link_cycles,
-            vpc: self.cfg.vcs_per_class,
-            total_vcs,
-            slots,
-            slot_port,
-            port_slots,
-            neighbors,
-            probed,
-            timed: self.metrics.enabled(),
-        }
-    }
-
-    /// The warm-up + measurement + drain loop, shared by the serial and
-    /// sharded paths (they differ only in who runs the per-cycle datapath
-    /// pass; every coordinator-side effect is applied here, in the same
-    /// fixed order).
-    fn drive<'c>(
-        &mut self,
-        probe: &mut dyn Probe,
-        mut controller: Option<&mut (dyn SwapController + 'c)>,
-        ctx: &StepCtx,
-        mut pool: Option<&mut crate::shard::ShardPool>,
-    ) -> Result<SimReport, ConfigError> {
+        let ctx = StepCtx::new(&self.cfg);
         let wall_start = Instant::now();
-        // Coordinator-side span accumulators; `timed` hoists the handle
-        // check so the disabled path pays one branch per cycle, not four.
-        let mut times = MetricTimes::default();
+        // Span accumulator; `timed` hoists the handle check so the
+        // disabled path pays one branch per cycle.
+        let mut times = CycleTimes::default();
         let timed = self.metrics.enabled();
         if controller.is_some() {
             self.source_accum = vec![SourceCounters::default(); self.sources.len()];
@@ -1326,9 +1136,13 @@ impl Network {
                     p.generate_nanos += nanos;
                 }
             }
-            match pool.as_deref_mut() {
-                Some(p) => self.cycle_sharded(cycle, p, &mut mark, timed, &mut times),
-                None => self.cycle_serial(cycle, ctx, &mut mark, timed, &mut times),
+            let t0 = timed.then(Instant::now);
+            self.cycle_serial(cycle, &ctx, &mut mark);
+            if let Some(t) = t0 {
+                let nanos = t.elapsed().as_nanos() as u64;
+                times.nanos += nanos;
+                times.count += 1;
+                times.max = times.max.max(nanos);
             }
             // `total_buffered` is maintained incrementally; sampling it here
             // (after deliveries are applied) matches the original
@@ -1471,7 +1285,6 @@ impl Network {
             m.add("sim_link_flit_traversals_total", self.link_flit_traversals);
             m.add("sim_skipped_cycles_total", self.skipped_cycles);
             m.add("sim_router_steps_total", self.router_steps);
-            m.gauge_set("sim_shards", self.cfg.effective_shards() as f64);
             let wall = self.report.network.wall_nanos;
             if wall > 0 {
                 m.wall_gauge_set(
@@ -1479,278 +1292,95 @@ impl Network {
                     self.cycles_run as f64 * 1e9 / wall as f64,
                 );
             }
-            if times.barrier_count > 0 {
-                m.record_span(
-                    "sim/shard/barrier",
-                    times.barrier_count,
-                    times.barrier_nanos,
-                    times.barrier_max,
-                );
-            }
-            if times.band_count > 0 {
-                m.record_span(
-                    "sim/shard/band",
-                    times.band_count,
-                    times.band_nanos,
-                    times.band_max,
-                );
-            }
-            if times.replay_count > 0 {
-                m.record_span(
-                    "sim/shard/replay",
-                    times.replay_count,
-                    times.replay_nanos,
-                    times.replay_max,
-                );
-            }
-            if times.serial_count > 0 {
-                m.record_span(
-                    "sim/serial/cycle",
-                    times.serial_count,
-                    times.serial_nanos,
-                    times.serial_max,
-                );
+            if times.count > 0 {
+                m.record_span("sim/serial/cycle", times.count, times.nanos, times.max);
             }
         }
         Ok(std::mem::replace(&mut self.report, SimReport::new(0)))
     }
 
-    /// One cycle of the datapath on the serial path: run the full-mesh
-    /// band inline, then merge its effect sink exactly as the sharded
-    /// barrier would merge many.
-    fn cycle_serial(
-        &mut self,
-        cycle: u64,
-        ctx: &StepCtx,
-        mark: &mut Option<Instant>,
-        timed: bool,
-        times: &mut MetricTimes,
-    ) {
-        let t0 = timed.then(Instant::now);
-        let mut sink = std::mem::take(&mut self.scratch_sink);
-        let mut nids = std::mem::take(&mut self.scratch_nids);
-        let mut rids = std::mem::take(&mut self.scratch_rids);
-        let n = ctx.neighbors.len();
-        self.active_nis.collect_range(0, n, &mut nids);
-        inject_band(
-            &mut self.nis,
-            &mut self.routers,
-            0,
-            &nids,
-            cycle,
-            ctx,
-            &mut sink,
-        );
-        // Same-cycle activation: the router worklist is snapshotted after
-        // injection, so a router woken by this cycle's own injected flit
-        // is visited (a no-op unless `router_stages == 0` — the flit is
-        // not switch-ready before then — but with zero stages it may pop
-        // immediately, which is why `effective_shards` pins that corner
-        // to the serial path).
-        for &t in &sink.injected_routers {
-            self.active_routers.insert(t as usize);
+    /// One cycle of the datapath: NI injection, then the router pass, then
+    /// the deferred transfers. Routers and NIs are visited in ascending
+    /// tile order and every probe hook runs inline, in the order the
+    /// effects happen.
+    fn cycle_serial(&mut self, cycle: u64, ctx: &StepCtx, mark: &mut Option<Instant>) {
+        let Network {
+            routers,
+            nis,
+            active_routers,
+            active_nis,
+            flow,
+            total_buffered,
+            router_steps,
+            transfers,
+            ..
+        } = self;
+        for w in 0..active_nis.words.len() {
+            let mut bits = active_nis.words[w];
+            while bits != 0 {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Same-cycle activation: a router fed by this cycle's
+                // injection joins the pass below. That is a no-op unless
+                // `router_stages == 0`, when the flit may leave at once.
+                let (ni, router) = (&mut nis[t], &mut routers[t]);
+                if inject_tile(ni, router, t, cycle, ctx, flow.as_deref_mut()) {
+                    active_routers.insert(t);
+                    *total_buffered += 1;
+                }
+                if !ni.pending() {
+                    active_nis.remove(t);
+                }
+            }
         }
-        sink.injected_routers.clear();
         if let Some(m) = mark.as_mut() {
             let nanos = lap(m);
             if let Some(p) = self.profile.as_mut() {
                 p.inject_nanos += nanos;
             }
         }
-        self.active_routers.collect_range(0, n, &mut rids);
-        step_band(&mut self.routers, 0, &rids, cycle, ctx, &mut sink);
-        self.merge_effects(std::slice::from_mut(&mut sink));
-        self.replay_events(cycle, std::slice::from_mut(&mut sink));
+        // A router still asleep (`wake > cycle`: no front flit out of the
+        // pipeline) is skipped, which is exact — such a step routes
+        // nothing, allocates nothing, fires no probe hook and leaves the
+        // round-robin pointers alone (DESIGN.md §16.3).
+        for w in 0..active_routers.words.len() {
+            let mut bits = active_routers.words[w];
+            while bits != 0 {
+                let r = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let router = &mut routers[r];
+                debug_assert!(router.buffered > 0, "router {r} active but empty");
+                if router.wake > cycle {
+                    debug_assert!(router.sleeps_soundly(cycle), "router {r} skipped awake");
+                    continue;
+                }
+                *router_steps += 1;
+                let before = router.buffered;
+                step_router(router, r, cycle, ctx, transfers, flow.as_deref_mut());
+                *total_buffered -= before - router.buffered;
+                if router.buffered == 0 {
+                    active_routers.remove(r);
+                }
+            }
+        }
         if let Some(m) = mark.as_mut() {
             let nanos = lap(m);
             if let Some(p) = self.profile.as_mut() {
                 p.route_nanos += nanos;
             }
         }
-        self.apply_transfers(cycle, std::slice::from_mut(&mut sink));
+        self.apply_transfers(cycle);
         if let Some(m) = mark.as_mut() {
             let nanos = lap(m);
             if let Some(p) = self.profile.as_mut() {
                 p.traverse_nanos += nanos;
-            }
-        }
-        self.scratch_sink = sink;
-        self.scratch_nids = nids;
-        self.scratch_rids = rids;
-        if let Some(t) = t0 {
-            let nanos = t.elapsed().as_nanos() as u64;
-            times.serial_nanos += nanos;
-            times.serial_count += 1;
-            times.serial_max = times.serial_max.max(nanos);
-        }
-    }
-
-    /// One cycle of the datapath on the sharded path: dispatch the cycle
-    /// to the workers, block at the barrier, then merge every shard's
-    /// effect sink in ascending shard order (DESIGN.md §16).
-    fn cycle_sharded(
-        &mut self,
-        cycle: u64,
-        pool: &mut crate::shard::ShardPool,
-        mark: &mut Option<Instant>,
-        timed: bool,
-        times: &mut MetricTimes,
-    ) {
-        let t0 = timed.then(Instant::now);
-        pool.run_cycle(
-            cycle,
-            &mut self.routers,
-            &mut self.nis,
-            &self.active_routers,
-            &self.active_nis,
-        );
-        if let Some(t) = t0 {
-            let nanos = t.elapsed().as_nanos() as u64;
-            times.barrier_nanos += nanos;
-            times.barrier_count += 1;
-            times.barrier_max = times.barrier_max.max(nanos);
-        }
-        // The whole worker round-trip lands in the inject span; the
-        // profile's phase split is meaningful on the serial path only
-        // (wall-clock phases are nondeterministic either way).
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.inject_nanos += nanos;
-            }
-        }
-        let mut sinks = pool.take_sinks();
-        if timed {
-            for s in sinks.iter_mut() {
-                times.band_nanos += s.band_nanos;
-                times.band_count += s.band_count;
-                times.band_max = times.band_max.max(s.band_max_nanos);
-                s.band_nanos = 0;
-                s.band_count = 0;
-                s.band_max_nanos = 0;
-            }
-        }
-        let t1 = timed.then(Instant::now);
-        self.merge_effects(&mut sinks);
-        self.replay_events(cycle, &mut sinks);
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.route_nanos += nanos;
-            }
-        }
-        self.apply_transfers(cycle, &mut sinks);
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.traverse_nanos += nanos;
-            }
-        }
-        if let Some(t) = t1 {
-            let nanos = t.elapsed().as_nanos() as u64;
-            times.replay_nanos += nanos;
-            times.replay_count += 1;
-            times.replay_max = times.replay_max.max(nanos);
-        }
-        pool.put_sinks(sinks);
-    }
-
-    /// Fold the cheap per-band deltas into coordinator state: activity
-    /// worklist membership and global counters. Insertions are applied
-    /// before removals; for `router_stages ≥ 1` the two sets are disjoint
-    /// (an injected flit cannot pop in the same cycle, so its router
-    /// cannot have drained), making the order immaterial.
-    fn merge_effects(&mut self, sinks: &mut [ShardSink]) {
-        for sink in sinks.iter_mut() {
-            for &t in &sink.ni_removals {
-                self.active_nis.remove(t as usize);
-            }
-            sink.ni_removals.clear();
-            for &t in &sink.injected_routers {
-                self.active_routers.insert(t as usize);
-            }
-            sink.injected_routers.clear();
-            for &r in &sink.router_removals {
-                self.active_routers.remove(r as usize);
-            }
-            sink.router_removals.clear();
-            self.link_flit_traversals += sink.link_traversals;
-            sink.link_traversals = 0;
-            self.router_steps += sink.router_steps;
-            sink.router_steps = 0;
-            self.total_buffered = (self.total_buffered as isize + sink.buffered) as usize;
-            sink.buffered = 0;
-        }
-    }
-
-    /// Replay the order-sensitive side effects recorded by the datapath
-    /// pass: all inject-phase events (ascending tile within a shard,
-    /// shards ascending), then all router-pass events in the same order —
-    /// exactly the sequence the pre-shard simulator produced inline, so
-    /// every f64 accumulation and telemetry record is bit-identical.
-    fn replay_events(&mut self, cycle: u64, sinks: &mut [ShardSink]) {
-        for sink in sinks.iter_mut() {
-            for ev in sink.inject_events.drain(..) {
-                self.replay_event(cycle, ev);
-            }
-        }
-        for sink in sinks.iter_mut() {
-            for ev in sink.step_events.drain(..) {
-                self.replay_event(cycle, ev);
-            }
-        }
-    }
-
-    fn replay_event(&mut self, cycle: u64, ev: SimEvent) {
-        match ev {
-            SimEvent::TailEject(pid) => self.eject_tail(pid, cycle),
-            SimEvent::Buffer { r, vc } => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_buffer(r as usize, vc as usize, cycle);
-                }
-            }
-            SimEvent::HeadInject(pid) => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.stamps[pid as usize].head_inject = cycle;
-                }
-            }
-            SimEvent::Pop { r, vc } => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_pop(r as usize, vc as usize, cycle);
-                }
-            }
-            SimEvent::SwitchStall { r, n } => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_switch_stalls(r as usize, n as u64);
-                }
-            }
-            SimEvent::VcStall(r) => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_vc_stall(r as usize);
-                }
-            }
-            SimEvent::CreditStall(r) => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_credit_stall(r as usize);
-                }
-            }
-            SimEvent::LinkTraversal { r, port } => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_link_traversal(r as usize, port as usize);
-                }
-            }
-            SimEvent::HeadEject(pid) => {
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.stamps[pid as usize].head_eject = cycle;
-                }
             }
         }
     }
 
     /// Full tail-ejection bookkeeping for one delivered packet: flow
     /// record, report accumulation, controller counters, windower hook,
-    /// in-flight counters and slab recycling — in the exact order of the
-    /// pre-shard inline ejection path.
+    /// in-flight counters and slab recycling.
     fn eject_tail(&mut self, pid: PacketId, cycle: u64) {
         let info = self.packets[pid as usize].clone();
         let latency = cycle - info.inject_cycle + 1;
@@ -1816,42 +1446,44 @@ impl Network {
         self.live_packets -= 1;
     }
 
-    /// Apply the cross-router transfers at the barrier: every shard's
-    /// deliveries (ascending shard order), then every shard's credits —
-    /// the same all-deliveries-then-all-credits order as the serial pass.
-    fn apply_transfers(&mut self, cycle: u64, sinks: &mut [ShardSink]) {
+    /// Apply the router pass's deferred effects: every tail ejection, then
+    /// every delivery, then every credit, each in the order the pass
+    /// produced them.
+    fn apply_transfers(&mut self, cycle: u64) {
+        let mut out = std::mem::take(&mut self.transfers);
+        for pid in out.tails.drain(..) {
+            self.eject_tail(pid, cycle);
+        }
         let total_vcs = self.cfg.total_vcs();
-        for sink in sinks.iter_mut() {
-            for d in sink.deliveries.drain(..) {
-                let router = &mut self.routers[d.router];
-                router.inputs[d.port * total_vcs + d.vc]
-                    .buf
-                    .push_back(TimedFlit {
-                        flit: d.flit,
-                        ready: d.ready,
-                    });
-                router.buffered += 1;
-                router.occ |= 1 << (d.port * total_vcs + d.vc);
-                router.wake = router.wake.min(d.ready);
-                self.total_buffered += 1;
-                self.active_routers.insert(d.router);
-                if let Some(fl) = self.flow.as_mut() {
-                    fl.heatmap.on_buffer(d.router, d.vc, cycle);
+        self.link_flit_traversals += out.deliveries.len() as u64;
+        for d in out.deliveries.drain(..) {
+            let router = &mut self.routers[d.router];
+            router.inputs[d.port * total_vcs + d.vc]
+                .buf
+                .push_back(TimedFlit {
+                    flit: d.flit,
+                    ready: d.ready,
+                });
+            router.buffered += 1;
+            router.occ |= 1 << (d.port * total_vcs + d.vc);
+            router.wake = router.wake.min(d.ready);
+            self.total_buffered += 1;
+            self.active_routers.insert(d.router);
+            if let Some(fl) = self.flow.as_mut() {
+                fl.heatmap.on_buffer(d.router, d.vc, cycle);
+            }
+        }
+        for c in out.credits.drain(..) {
+            match c {
+                Credit::Router { router, port, vc } => {
+                    self.routers[router].outputs[port * total_vcs + vc].credits += 1;
+                }
+                Credit::Ni { tile, vc } => {
+                    self.nis[tile].credits[vc] += 1;
                 }
             }
         }
-        for sink in sinks.iter_mut() {
-            for c in sink.credits.drain(..) {
-                match c {
-                    Credit::Router { router, port, vc } => {
-                        self.routers[router].outputs[port * total_vcs + vc].credits += 1;
-                    }
-                    Credit::Ni { tile, vc } => {
-                        self.nis[tile].credits[vc] += 1;
-                    }
-                }
-            }
-        }
+        self.transfers = out;
     }
 
     /// Retarget source `j` to `tiles[j]` for all future spawns, after
@@ -2107,7 +1739,56 @@ impl Network {
 mod tests {
     use super::*;
     use crate::traffic::Schedule;
-    use noc_model::MemoryControllers;
+    use noc_model::{
+        route_xy, route_xy_torus, route_yx, route_yx_torus, MemoryControllers, RouteDir,
+    };
+
+    fn port_of(dir: RouteDir) -> usize {
+        match dir {
+            RouteDir::North => P_NORTH,
+            RouteDir::South => P_SOUTH,
+            RouteDir::West => P_WEST,
+            RouteDir::East => P_EAST,
+            RouteDir::Local => P_LOCAL,
+        }
+    }
+
+    /// The coordinate-table router agrees with the reference routing
+    /// functions on every (here, dst) pair, for both topologies and both
+    /// dimension orders, on odd, even, degenerate and non-square shapes.
+    #[test]
+    fn route_port_matches_reference_routing() {
+        for mesh in [
+            Mesh::new(1, 5),
+            Mesh::new(3, 4),
+            Mesh::square(5),
+            Mesh::square(8),
+        ] {
+            for topology in [Topology::Mesh, Topology::Torus] {
+                for routing in [RoutingKind::Xy, RoutingKind::Yx] {
+                    let mut cfg = SimConfig::paper_defaults(mesh);
+                    cfg.topology = topology;
+                    cfg.routing = routing;
+                    let ctx = StepCtx::new(&cfg);
+                    let reference = match (topology, routing) {
+                        (Topology::Mesh, RoutingKind::Xy) => route_xy,
+                        (Topology::Mesh, RoutingKind::Yx) => route_yx,
+                        (Topology::Torus, RoutingKind::Xy) => route_xy_torus,
+                        (Topology::Torus, RoutingKind::Yx) => route_yx_torus,
+                    };
+                    for here in mesh.tiles() {
+                        for dst in mesh.tiles() {
+                            assert_eq!(
+                                route_port(&ctx, here.index(), dst.index() as u16),
+                                port_of(reference(&mesh, here, dst)),
+                                "{mesh:?} {topology:?} {routing:?}: {here:?} -> {dst:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn quiet_config(mesh: Mesh) -> SimConfig {
         let mut cfg = SimConfig::paper_defaults(mesh);

@@ -17,9 +17,8 @@ pub const FLIT_MEM: u8 = 1 << 2;
 /// flit carries everything the router datapath needs — destination tile
 /// and class alongside the position markers — so routing, VC allocation
 /// and delivery never have to chase the packet id into the metadata
-/// slab. That keeps the hot arbitration loop free of slab cache misses
-/// and makes a router shard self-contained: the slab stays owned by the
-/// coordinator, which resolves ids only when a tail ejects.
+/// slab. That keeps the hot arbitration loop free of slab cache misses:
+/// ids are resolved only when a tail ejects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     pub packet: PacketId,

@@ -42,7 +42,7 @@ pub struct NetworkStats {
     /// Router steps executed: visits of a buffered router with a front
     /// flit out of the router pipeline. Asleep routers (every front still
     /// in the pipeline) are skipped and not counted. Identical for plain,
-    /// probed and sharded runs of one configuration, but like
+    /// probed and metered runs of one configuration, but like
     /// [`skipped_cycles`](Self::skipped_cycles) it describes how the run
     /// executed, so [`semantic_eq`] leaves it out.
     ///

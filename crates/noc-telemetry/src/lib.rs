@@ -48,6 +48,8 @@
 //! Every [`Sink`] automatically implements [`Probe`] through a blanket
 //! impl, so `&mut RingSink` can be passed wherever a probe is expected.
 
+#![forbid(unsafe_code)]
+
 pub mod heatmap;
 pub mod histogram;
 pub mod json;

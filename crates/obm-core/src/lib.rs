@@ -66,6 +66,8 @@
 //! assert!((report.max_apl - 10.3375).abs() < 1e-9); // the paper's optimum
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algorithms;
 pub mod batch;
 pub mod bridge;

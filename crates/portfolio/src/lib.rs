@@ -46,6 +46,8 @@
 //! depends on timing, but the merge of those that did is still
 //! deterministic). DESIGN.md §10 specifies the model.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 mod engine;
 pub mod outcome;

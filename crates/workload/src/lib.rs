@@ -26,6 +26,8 @@
 //! 0.002–0.011 packets/cycle, the uncongested regime in which the paper
 //! observes `td_q ≈ 0–1` cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod monitor;
 pub mod profile;

@@ -2,8 +2,8 @@
 //! observing all four instrumented subsystems, then exported and
 //! rendered the way `obm --metrics` / `obm status` do it:
 //!
-//! 1. **simulator** — a seeded 4×4 run on the sharded engine reports
-//!    packet/cycle counters and the shard-pool span tree;
+//! 1. **simulator** — a seeded 4×4 run reports packet/cycle counters
+//!    and the per-cycle `sim/serial/cycle` span;
 //! 2. **portfolio** — a solver race reports task spans, evaluation
 //!    counters and throughput gauges;
 //! 3. **placement** — `co_optimize` reports candidate/memo/inner-solve
@@ -26,7 +26,6 @@ use obm::prelude::*;
 
 fn scenario(mesh: Mesh, mapping: &Mapping, inst: &ObmInstance, seed: u64) -> Network {
     let mut cfg = SimConfig::paper_defaults(mesh);
-    cfg.shards = 2;
     cfg.warmup_cycles = 500;
     cfg.measure_cycles = 6_000;
     cfg.seed = seed;
@@ -71,7 +70,7 @@ fn main() {
         outcome.winner, outcome.winner_seed, outcome.objective
     );
 
-    // -- simulator: seeded sharded run with the registry attached --------
+    // -- simulator: seeded run with the registry attached ----------------
     let report = scenario(mesh, &outcome.mapping, &inst, 42)
         .with_metrics(metrics.clone())
         .run();

@@ -25,16 +25,17 @@
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection, the 48
 #                         fingerprinted random configurations, the
+#                         16 deferred-transfer corners, the
 #                         torus heatmap's wrap-link accounting) plus
 #                         the vendored rand's Bernoulli coin ≡ the
 #                         float gen_bool test on boundary words, the
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
 #                         exhaustive win + TM-vs-simulator agreement,
-#                         the sharded-engine suite (any shard
-#                         count bit-identical to serial, forced to
-#                         verify 4 shards via OBM_SIM_SHARDS), and
-#                         the compact-trace suite (bitset epoch
+#                         the simulation bridge every experiment
+#                         shares (probed ≡ plain, observed runs
+#                         reconcile with their report),
+#                         and the compact-trace suite (bitset epoch
 #                         series ≡ the materialising generator on
 #                         C1–C8 at three seeds: per-epoch values,
 #                         bitwise means, Table 3 statistics, window
@@ -57,7 +58,9 @@
 #                         way: family grep on the Prometheus text
 #                         (sim_router_steps_total included) and
 #                         byte-determinism across two same-seed runs
-#                         under OBM_METRICS_CLOCK=logical
+#                         under OBM_METRICS_CLOCK=logical; the removed
+#                         `experiments --shards` option must exit 2
+#                         with a usage error, not panic or run
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
 #                         one of its mappings gets a repeated tile, and
 #                         `obm solve --resume` must exit 0, re-running
@@ -93,9 +96,7 @@
 #                         a mid-run controller must never abort a
 #                         simulation), the ChipLayout/placement
 #                         constructors and the outer placement search
-#                         (typed PlacementError), the shard worker
-#                         pool (a dead worker must surface as a
-#                         closed channel, never an abort), or the
+#                         (typed PlacementError), or the
 #                         noc-metrics registry (a metrics write must
 #                         never abort the run it observes — poisoned
 #                         locks are recovered, snapshot parsing
@@ -161,23 +162,19 @@ echo "==> simulator determinism suite (release)"
 # since PR 1) and the geometric-injection goldens with their exact
 # window spans across fast-forwarded regions — must hold under release
 # codegen too, as must the fingerprints of 48 random configurations
-# (sleeping routers, threshold-table arrivals) and the torus heatmap's
+# (sleeping routers, threshold-table arrivals), the 16 deferred-transfer
+# corners (zero-cycle links and zero router stages, where applying a
+# delivery or credit mid-pass would show) and the torus heatmap's
 # wrap-link accounting. The Bernoulli coin behind the arrival tables
 # must match the float gen_bool test it replaced, word for word.
 cargo test -q --release --test sim_determinism
 cargo test -q --release -p rand
 
-echo "==> shard determinism suite (release, OBM_SIM_SHARDS=4)"
-# The row-band parallel engine's contract — bit-identical SimReport and
-# telemetry for any shard count (DESIGN.md §16) — pinned on the 8×8 C1
-# scenario, torus/YX, geometric fast-forward, the controlled-run path
-# and a randomized proptest. OBM_SIM_SHARDS=4 forces the suite to
-# verify up to 4 shards even on a 1-core host, and routes every
-# env-consulting entry point through the sharded engine.
-OBM_SIM_SHARDS=4 cargo test -q --release --test shard_determinism
-# The bridge helpers every experiment shares must honor the same env
-# knob without perturbing their goldens.
-OBM_SIM_SHARDS=4 cargo test -q --release -p obm-bench sim_bridge
+echo "==> simulation bridge suite (release)"
+# The bridge helpers every experiment shares: a probed run bit-identical
+# to the plain run of the same seed, observed runs reconciling with their
+# report, geometric injection agreeing with Bernoulli on C1.
+cargo test -q --release -p obm-bench sim_bridge
 
 echo "==> compact-trace suite (release)"
 # Epoch traces are stored one bit per epoch; the suite replays the
@@ -265,7 +262,7 @@ cmp -s "$smokedir/sim.prom" "$smokedir/sim2.prom" \
     || { echo "metrics snapshot differs across two same-seed logical-clock runs"; exit 1; }
 for family in sim_runs_total sim_cycles_total sim_injected_packets_total \
     sim_delivered_packets_total sim_link_flit_traversals_total \
-    sim_router_steps_total sim_shards; do
+    sim_router_steps_total; do
     grep -q "^$family " "$smokedir/sim.prom" \
         || { echo "metrics family $family missing from simulate snapshot"; exit 1; }
 done
@@ -282,6 +279,22 @@ grep -q "2 snapshots merged" "$smokedir/status.txt" \
 grep -q "sim_cycles_total" "$smokedir/status.txt" \
     || { echo "obm status dashboard missing sim counters"; exit 1; }
 echo "--> metrics: deterministic logical-clock snapshots, status renders $(wc -l < "$smokedir/status.txt") lines"
+
+echo "==> CLI usage smoke: experiments --shards is rejected"
+# The row-band shard engine and its knobs are gone (DESIGN.md §16.5); the
+# old flag must be a usage error (exit 2), never a panic or a silent run.
+experiments=target/release/experiments
+set +e
+"$experiments" validate --fast --shards 2 >"$smokedir/shards.out" 2>"$smokedir/shards.err"
+status=$?
+set -e
+[[ "$status" -eq 2 ]] \
+    || { echo "experiments --shards 2 exited $status, expected 2"; exit 1; }
+grep -q "^usage: experiments" "$smokedir/shards.err" \
+    || { echo "experiments --shards 2 printed no usage line"; exit 1; }
+[[ ! -s "$smokedir/shards.out" ]] \
+    || { echo "experiments --shards 2 ran an experiment"; exit 1; }
+echo "--> usage: --shards exits 2 with the usage line"
 
 echo "==> CLI resume smoke: a damaged checkpoint entry is re-run"
 # A checkpoint mapping that repeats a tile must be rejected entry by
@@ -351,7 +364,7 @@ echo "==> panic gate: error-typed constructor and solver paths"
 # occurrence outside the #[cfg(test)] module and doc comments
 # (debug_assert! is fine). Files without a test module are scanned whole.
 for f in crates/noc-sim/src/config.rs crates/noc-sim/src/network.rs \
-    crates/noc-sim/src/traffic.rs crates/noc-sim/src/shard.rs \
+    crates/noc-sim/src/traffic.rs \
     crates/noc-telemetry/src/histogram.rs crates/noc-telemetry/src/heatmap.rs \
     crates/portfolio/src/*.rs crates/cli/src/spec.rs \
     crates/obm-core/src/batch.rs crates/obm-core/src/pool.rs \

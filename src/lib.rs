@@ -44,6 +44,8 @@
 //! `examples/runtime_metrics.rs` for the metrics registry observing all
 //! four instrumented subsystems.
 
+#![forbid(unsafe_code)]
+
 pub use assignment as lap;
 pub use cmp_cache as cache;
 pub use noc_metrics as metrics;

@@ -5,8 +5,9 @@
 //! tests pin the PR 2 purity contract for it:
 //!
 //! 1. a seeded simulation produces a bit-identical `SimReport` with
-//!    metrics enabled or disabled, across random loads and shard counts,
-//!    and the exported counters reconcile exactly with `NetworkStats`;
+//!    metrics enabled or disabled, across random loads and both injection
+//!    processes, and the exported counters reconcile exactly with
+//!    `NetworkStats`;
 //! 2. a solver-portfolio race returns the identical mapping/objective
 //!    with metrics on or off, and the exported counters reconcile with
 //!    the returned `SolveStats`;
@@ -19,12 +20,11 @@ use obm::prelude::*;
 use obm::sim::InjectionProcess;
 use proptest::prelude::*;
 
-/// A 4×4 scenario parameterized on load, injection process and shard
-/// count — the randomized surface for the purity properties.
-fn network(seed: u64, cache_rate: f64, mem_rate: f64, shards: usize, geometric: bool) -> Network {
+/// A 4×4 scenario parameterized on load and injection process — the
+/// randomized surface for the purity properties.
+fn network(seed: u64, cache_rate: f64, mem_rate: f64, geometric: bool) -> Network {
     let mesh = Mesh::square(4);
     let mut cfg = SimConfig::paper_defaults(mesh);
-    cfg.shards = shards;
     cfg.warmup_cycles = 100;
     cfg.measure_cycles = 1_500;
     cfg.max_drain_cycles = 200_000;
@@ -80,20 +80,19 @@ proptest! {
 
     /// Purity, simulator side: metrics-on and metrics-off runs of the
     /// same seeded scenario are bit-identical (wall clock excluded), for
-    /// random loads, both injection processes and serial/sharded
-    /// engines — and the registry's counters reconcile exactly with the
-    /// `NetworkStats` the run returned.
+    /// random loads and both injection processes — and the registry's
+    /// counters reconcile exactly with the `NetworkStats` the run
+    /// returned.
     #[test]
     fn sim_report_is_bit_identical_with_metrics_on(
         cache_rate in 0.001f64..0.04,
         mem_rate in 0.0f64..0.01,
         seed in any::<u64>(),
-        shards in 1usize..=2,
         geometric in any::<bool>(),
     ) {
-        let off = network(seed, cache_rate, mem_rate, shards, geometric).run();
+        let off = network(seed, cache_rate, mem_rate, geometric).run();
         let registry = MetricsRegistry::new();
-        let on = network(seed, cache_rate, mem_rate, shards, geometric)
+        let on = network(seed, cache_rate, mem_rate, geometric)
             .with_metrics(registry.handle())
             .run();
         prop_assert!(off.semantic_eq(&on), "metrics perturbed the simulation");
@@ -118,32 +117,27 @@ proptest! {
         prop_assert_eq!(counter("sim_skipped_cycles_total"), on.network.skipped_cycles);
         prop_assert_eq!(counter("sim_router_steps_total"), on.network.router_steps);
         prop_assert_eq!(off.network.router_steps, on.network.router_steps);
-        prop_assert_eq!(
-            h.gauge_value("sim_shards").map(|v| v as usize),
-            Some(shards)
-        );
     }
 }
 
 /// The router-step count is one number per configuration: the same for
-/// a plain, a probed and a 2-shard run, and exported unchanged as
+/// a plain, a probed and a metered run, and exported unchanged as
 /// `sim_router_steps_total`. A router whose front flits are all still
-/// in the router pipeline is asleep and not stepped; the sharded engine
-/// must skip exactly the steps the serial one skips.
+/// in the router pipeline is asleep and not stepped, whatever observes
+/// the run.
 #[test]
-fn router_steps_agree_across_plain_probed_and_sharded_runs() {
+fn router_steps_agree_across_plain_probed_and_metered_runs() {
     for (seed, geometric) in [(3, false), (4, true)] {
-        let plain = network(seed, 0.02, 0.004, 1, geometric).run();
+        let plain = network(seed, 0.02, 0.004, geometric).run();
         let mut ring = RingSink::new(64);
-        let probed = network(seed, 0.02, 0.004, 1, geometric).run_probed(&mut ring);
-        let sharded = network(seed, 0.02, 0.004, 2, geometric).run();
+        let probed = network(seed, 0.02, 0.004, geometric).run_probed(&mut ring);
         let registry = MetricsRegistry::new();
-        let metered = network(seed, 0.02, 0.004, 2, geometric)
+        let metered = network(seed, 0.02, 0.004, geometric)
             .with_metrics(registry.handle())
             .run();
         let steps = plain.network.router_steps;
         assert!(steps > 0);
-        for r in [&probed, &sharded, &metered] {
+        for r in [&probed, &metered] {
             assert!(r.semantic_eq(&plain));
             assert_eq!(r.network.router_steps, steps, "seed {seed}");
         }
@@ -199,7 +193,7 @@ proptest! {
 /// by the round-trip and byte-determinism tests below.
 fn full_snapshot() -> MetricsSnapshot {
     let registry = MetricsRegistry::with_clock(ClockMode::Logical);
-    network(42, 0.02, 0.004, 2, false)
+    network(42, 0.02, 0.004, false)
         .with_metrics(registry.handle())
         .run();
     let rates: Vec<f64> = (1..=16).map(|i| i as f64 * 0.5).collect();
@@ -238,8 +232,8 @@ fn snapshots_round_trip_through_both_formats() {
         assert!(json.contains(name), "missing {name} in json lines");
     }
     assert!(
-        snap.spans.keys().any(|k| k.starts_with("sim/shard/")),
-        "shard-pool spans missing"
+        snap.spans.contains_key("sim/serial/cycle"),
+        "simulator cycle span missing"
     );
     assert!(
         snap.spans.keys().any(|k| k.starts_with("portfolio/task/")),

@@ -1070,9 +1070,10 @@ proptest! {
 
 /// One seeded random configuration of the fingerprint suite. The
 /// categorical axes come from the bits of `case` (topology, routing,
-/// injection process, shard count, schedule kind: all 32 combinations
-/// within the first 32 cases); buffer shape, router stages, loads and
-/// run length are drawn from `SmallRng::seed_from_u64(case)`.
+/// injection process, schedule kind); bit 3 (`case & 8`) once chose the
+/// 2-shard engine, which was bit-identical to serial, and now selects
+/// nothing. Buffer shape, router stages, loads and run length are drawn
+/// from `SmallRng::seed_from_u64(case)`.
 fn fuzz_network(case: u64) -> Network {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -1094,7 +1095,6 @@ fn fuzz_network(case: u64) -> Network {
     } else {
         InjectionProcess::Geometric
     };
-    cfg.shards = if case & 8 == 0 { 1 } else { 2 };
     let piecewise = case & 16 != 0;
     cfg.router_stages = rng.gen_range(0..=3);
     cfg.vcs_per_class = rng.gen_range(1..=3);
@@ -1255,7 +1255,7 @@ const GOLDEN_FUZZ: [[u64; 3]; 48] = [
 /// Every simulated bit, every telemetry counter and every packet record
 /// of 48 random configurations (mesh and torus, XY and YX, 0–3 router
 /// stages, 1–3 VCs, depth 1–5, constant and piecewise schedules,
-/// Bernoulli and geometric injection, 1 and 2 shards) must reproduce the
+/// Bernoulli and geometric injection) must reproduce the
 /// fingerprints captured on the straightforward simulator. In debug
 /// builds every skipped router step is also checked against the full
 /// front scan, so this suite exercises that oracle across the corners.
@@ -1276,4 +1276,95 @@ fn random_configs_reproduce_pinned_fingerprints() {
         ]);
     }
     assert_eq!(got, GOLDEN_FUZZ, "\n{got:#x?}");
+}
+
+/// One corner of the deferred-transfer suite: a loaded 4×4 mesh
+/// (`torus = false`) or 3×3 torus with one VC per class and 2-flit
+/// buffers, so credits bind and flits queue at every hop.
+fn deferral_network(torus: bool, link_cycles: u64, router_stages: u64, limit: bool) -> Network {
+    let mesh = if torus {
+        Mesh::square(3)
+    } else {
+        Mesh::square(4)
+    };
+    let mut cfg = SimConfig::paper_defaults(mesh);
+    if torus {
+        cfg.topology = Topology::Torus;
+    }
+    cfg.link_cycles = link_cycles;
+    cfg.router_stages = router_stages;
+    cfg.crossbar_input_limit = limit;
+    cfg.vcs_per_class = 1;
+    cfg.buffer_depth = 2;
+    cfg.warmup_cycles = 200;
+    cfg.measure_cycles = 1_500;
+    cfg.max_drain_cycles = 5_000;
+    cfg.telemetry_window = 250;
+    cfg.seed = 2014;
+    let sources: Vec<SourceSpec> = mesh
+        .tiles()
+        .map(|t| SourceSpec {
+            tile: t,
+            group: t.index() % 2,
+            cache: Schedule::Constant(0.05),
+            mem: Schedule::Constant(0.012),
+        })
+        .collect();
+    let traffic = TrafficSpec::new(sources, 2).expect("valid traffic");
+    Network::new(cfg, traffic).expect("valid config")
+}
+
+/// `(report, heatmap, packets)` fingerprints of the 16 deferral corners,
+/// in `(torus, link_cycles, router_stages, crossbar_input_limit)` order,
+/// captured when the router pass still recorded every effect and
+/// replayed it after the pass.
+const GOLDEN_DEFERRAL: [[u64; 3]; 16] = [
+    [0xd909b0b07265463b, 0x621ac19d543ccb1d, 0x10120561ef412cc2],
+    [0x407cf1416b40abbb, 0x297fc80395c0d3fe, 0xc3ddfb8d596a3245],
+    [0x73029f1bbbedafdd, 0x136674b99fbd2515, 0x481b1dd4b0f7e87f],
+    [0x1be8fba1cf3ad3a9, 0xe6b9c9093054e5f1, 0x2c7458b6a8dd21a5],
+    [0x2edfcb8728245ef8, 0x621ac19d543ccb1d, 0x10120561ef412cc2],
+    [0x42003019d1900e3b, 0x297fc80395c0d3fe, 0xc3ddfb8d596a3245],
+    [0x10752dc7958d686d, 0x4252662dca93318a, 0xd6a90da7fbb39766],
+    [0x1f761a0315ad8f6c, 0x02ace759a5204249, 0x00dc8b834a44b835],
+    [0xed363877b304ca33, 0x52e3928767fa26ad, 0x0b94ccae4c8287ba],
+    [0x0e3b32828d59ff31, 0x6877d5c3fe3f8b67, 0xa52c8149f8553319],
+    [0x2638751a87b65161, 0x4ac56677c4b63bc6, 0x77cd4a0d76b32485],
+    [0xaccee649947e7246, 0x84db940eb4f9bbe6, 0x90b5814663a20dd0],
+    [0x1b8b8c2880dae0a7, 0x52e3928767fa26ad, 0x0b94ccae4c8287ba],
+    [0x3a1432d268526365, 0x6877d5c3fe3f8b67, 0xa52c8149f8553319],
+    [0xe7f7200bd490ac57, 0x21487ba25d6eacdb, 0x91d475d0e9a2aba4],
+    [0x4ca4e1b35ae0d646, 0xbc9d53590efee3b4, 0x6f85219888faa4ab],
+];
+
+/// Flit deliveries, credit returns and tail ejections take effect after
+/// the whole router pass, in that order: tails, then every delivery,
+/// then every credit. With zero-cycle links or zero router stages a
+/// flit or credit applied mid-pass would be visible to a router later
+/// in the scan in the same cycle, so each of these corners moves a
+/// fingerprint if either kind of transfer is applied inline.
+#[test]
+fn deferred_transfers_reproduce_pinned_fingerprints() {
+    let mut got = Vec::new();
+    for torus in [false, true] {
+        for link in [0, 1] {
+            for stages in [0, 1] {
+                for limit in [false, true] {
+                    let plain = deferral_network(torus, link, stages, limit).run();
+                    let mut sink = RingSink::new(1 << 20).with_packets();
+                    let probed = deferral_network(torus, link, stages, limit).run_probed(&mut sink);
+                    assert!(plain.semantic_eq(&probed), "probe perturbed");
+                    assert_eq!(sink.dropped(), 0);
+                    let heat = sink.heatmaps().next().expect("heatmap emitted");
+                    assert!(plain.fully_drained, "corner left packets in flight");
+                    got.push([
+                        report_fingerprint(&plain),
+                        heatmap_fingerprint(heat),
+                        packets_fingerprint(sink.packets()),
+                    ]);
+                }
+            }
+        }
+    }
+    assert_eq!(got, GOLDEN_DEFERRAL, "\n{got:#x?}");
 }
