@@ -4,9 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use noc_model::{Mesh, TileLatencies};
+use noc_sim::InjectionProcess;
 use obm_bench::experiments::fig5;
 use obm_bench::harness::paper_instance;
-use obm_bench::sim_bridge::{simulate_mapping, traffic_from_mapping};
+use obm_bench::sim_bridge::{paper_network, traffic_from_mapping};
 use obm_core::algorithms::{Global, Mapper, RandomMapper, SortSelectSwap};
 use obm_core::evaluate;
 use workload::{PaperConfig, WorkloadBuilder};
@@ -123,7 +124,16 @@ fn validation(c: &mut Criterion) {
     let mut group = c.benchmark_group("validate_simulation");
     group.sample_size(10);
     group.bench_function("sim_10k_cycles_c2", |b| {
-        b.iter(|| simulate_mapping(&pi, &mapping, 10_000, 7))
+        b.iter(|| {
+            paper_network(
+                &pi,
+                &mapping,
+                10_000,
+                7,
+                InjectionProcess::BernoulliPerCycle,
+            )
+            .run()
+        })
     });
     group.finish();
 }

@@ -9,7 +9,7 @@ use noc_model::{LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies};
 use noc_sim::telemetry::{NoopSink, RingSink};
 use noc_sim::{InjectionProcess, Network, Schedule, SimConfig, TrafficSpec};
 use obm_bench::harness::paper_instance;
-use obm_bench::sim_bridge::{simulate_mapping, simulate_mapping_metered, simulate_mapping_probed};
+use obm_bench::sim_bridge::paper_network;
 use obm_core::algorithms::{Mapper, SortSelectSwap};
 use obm_core::{traffic_spec, ObmInstance, RemapConfig, RemapController};
 use workload::PaperConfig;
@@ -49,18 +49,25 @@ fn uniform_sim(mesh_side: usize, cache_per_kcycle: f64, cycles: u64) -> noc_sim:
 fn sim_c1_paper_load(c: &mut Criterion) {
     let pi = paper_instance(PaperConfig::C1);
     let mapping = SortSelectSwap::default().map(&pi.instance, 0);
+    let net = || {
+        paper_network(
+            &pi,
+            &mapping,
+            10_000,
+            7,
+            InjectionProcess::BernoulliPerCycle,
+        )
+    };
     let mut group = c.benchmark_group("noc_sim");
     group.sample_size(10);
-    group.bench_function("c1_8x8_10k_cycles", |b| {
-        b.iter(|| simulate_mapping(&pi, &mapping, 10_000, 7))
-    });
+    group.bench_function("c1_8x8_10k_cycles", |b| b.iter(|| net().run()));
     // Same run with a full observability probe (windows + flow + heatmap,
     // without per-packet streaming): the delta against the unprobed
     // number above is the cost of spatial telemetry on the hot loop.
     group.bench_function("c1_8x8_10k_cycles_probed", |b| {
         b.iter(|| {
             let mut sink = RingSink::new(64);
-            simulate_mapping_probed(&pi, &mapping, 10_000, 7, &mut sink)
+            net().run_probed(&mut sink)
         })
     });
     // Same run with a metrics registry attached (DESIGN.md §17): the
@@ -71,7 +78,7 @@ fn sim_c1_paper_load(c: &mut Criterion) {
     // (`metrics_delta_pct/disabled`).
     group.bench_function("c1_8x8_10k_cycles_metrics", |b| {
         let registry = noc_metrics::MetricsRegistry::new();
-        b.iter(|| simulate_mapping_metered(&pi, &mapping, 10_000, 7, registry.handle()))
+        b.iter(|| net().with_metrics(registry.handle()).run())
     });
     group.finish();
 }

@@ -6,7 +6,7 @@
 
 use crate::harness::{all_paper_instances, paper_instance};
 use crate::pool;
-use crate::sim_bridge::simulate_mapping_probed_with;
+use crate::sim_bridge::paper_network;
 use crate::table::{f, MarkdownTable};
 use noc_metrics::{MetricsHandle, MetricsRegistry};
 use noc_sim::telemetry::{Phase, RingSink};
@@ -99,7 +99,7 @@ pub fn run_with_metrics(
         // Probed run: windowed telemetry rides along with the
         // validation sweep at no semantic cost (bit-identical).
         let mut sink = RingSink::new(4096);
-        let sim = simulate_mapping_probed_with(pi, &mapping, cycles, 7, injection, &mut sink);
+        let sim = paper_network(pi, &mapping, cycles, 7, injection).run_probed(&mut sink);
         let measure = || sink.windows().filter(|w| w.phase == Phase::Measure);
         let peak_inj = measure().map(|w| w.injection_rate()).fold(0.0f64, f64::max);
         let peak_buf = measure().map(|w| w.buffered_flits).max().unwrap_or(0);

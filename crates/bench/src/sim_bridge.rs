@@ -7,7 +7,7 @@
 
 use crate::harness::PaperInstance;
 use noc_model::Mesh;
-use noc_sim::telemetry::{FlowSummary, HeatmapRecord, Probe, RingSink};
+use noc_sim::telemetry::{FlowSummary, HeatmapRecord, RingSink};
 use noc_sim::{InjectionProcess, Network, SimConfig, SimReport, TrafficSpec};
 use obm_core::Mapping;
 
@@ -17,104 +17,27 @@ pub fn traffic_from_mapping(pi: &PaperInstance, mapping: &Mapping) -> TrafficSpe
     obm_core::traffic_spec(&pi.instance, mapping)
 }
 
-/// The paper's Table 2 simulation config for a mapped instance, measuring
-/// `measure_cycles` cycles after a proportional warm-up.
-fn paper_sim_config(measure_cycles: u64, seed: u64, injection: InjectionProcess) -> SimConfig {
-    let mesh = Mesh::square(8);
-    let mut cfg = SimConfig::paper_defaults(mesh);
+/// The paper's Table 2 network running a mapping's mean-rate traffic,
+/// measuring `measure_cycles` cycles after a proportional warm-up.
+///
+/// Call `.run()`, `.run_probed(probe)` or `.with_metrics(m).run()` on it;
+/// probes and metrics observe without perturbing, so a fixed seed gives
+/// the same report on every path. `InjectionProcess::BernoulliPerCycle`
+/// keeps seeded runs bit-identical with the PR 1 goldens; sweeps that
+/// only need the arrival *distribution* pick the geometric fast path.
+pub fn paper_network(
+    pi: &PaperInstance,
+    mapping: &Mapping,
+    measure_cycles: u64,
+    seed: u64,
+    injection: InjectionProcess,
+) -> Network {
+    let mut cfg = SimConfig::paper_defaults(Mesh::square(8));
     cfg.warmup_cycles = (measure_cycles / 10).max(1_000);
     cfg.measure_cycles = measure_cycles;
     cfg.seed = seed;
     cfg.injection = injection;
-    cfg
-}
-
-/// Run the cycle-level simulation of a mapping with the paper's Table 2
-/// network, measuring `measure_cycles` cycles after a proportional warm-up.
-///
-/// Uses the default Bernoulli-per-cycle injection so seeded runs stay
-/// bit-identical with the PR 1 goldens; sweeps that only need the arrival
-/// *distribution* pick the geometric fast path via
-/// [`simulate_mapping_with`].
-pub fn simulate_mapping(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-) -> SimReport {
-    simulate_mapping_with(
-        pi,
-        mapping,
-        measure_cycles,
-        seed,
-        InjectionProcess::BernoulliPerCycle,
-    )
-}
-
-/// [`simulate_mapping`] with a metrics registry attached (DESIGN.md
-/// §17). The report is bit-identical to the plain run — the registry is
-/// a write-only observer; the criterion twin of this helper prices the
-/// enabled-path overhead (`metrics_delta_pct/enabled`).
-pub fn simulate_mapping_metered(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    metrics: noc_metrics::MetricsHandle,
-) -> SimReport {
-    let cfg = paper_sim_config(measure_cycles, seed, InjectionProcess::BernoulliPerCycle);
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
-        .with_metrics(metrics)
-        .run()
-}
-
-/// [`simulate_mapping`] with an explicit injection process.
-pub fn simulate_mapping_with(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    injection: InjectionProcess,
-) -> SimReport {
-    let cfg = paper_sim_config(measure_cycles, seed, injection);
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
-        .run()
-}
-
-/// [`simulate_mapping`], additionally streaming windowed telemetry to
-/// `probe`. Bit-identical to the unprobed run for any probe.
-pub fn simulate_mapping_probed(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    probe: &mut dyn Probe,
-) -> SimReport {
-    simulate_mapping_probed_with(
-        pi,
-        mapping,
-        measure_cycles,
-        seed,
-        InjectionProcess::BernoulliPerCycle,
-        probe,
-    )
-}
-
-/// [`simulate_mapping_probed`] with an explicit injection process.
-pub fn simulate_mapping_probed_with(
-    pi: &PaperInstance,
-    mapping: &Mapping,
-    measure_cycles: u64,
-    seed: u64,
-    injection: InjectionProcess,
-    probe: &mut dyn Probe,
-) -> SimReport {
-    let cfg = paper_sim_config(measure_cycles, seed, injection);
-    Network::new(cfg, traffic_from_mapping(pi, mapping))
-        .expect("paper scenario is valid")
-        .run_probed(probe)
+    Network::new(cfg, traffic_from_mapping(pi, mapping)).expect("paper scenario is valid")
 }
 
 /// A probed run bundled with its end-of-run observability records: the
@@ -128,7 +51,7 @@ pub struct ObservedRun {
     pub heatmap: HeatmapRecord,
 }
 
-/// [`simulate_mapping_with`], additionally capturing the flow summary and
+/// A [`paper_network`] run that also captures the flow summary and
 /// heatmap the probed run emits at end of run.
 pub fn simulate_mapping_observed(
     pi: &PaperInstance,
@@ -137,12 +60,10 @@ pub fn simulate_mapping_observed(
     seed: u64,
     injection: InjectionProcess,
 ) -> ObservedRun {
+    // Windows are streamed but evicted by the tiny ring; the flow and
+    // heatmap records arrive last, so both survive.
     let mut sink = RingSink::new(2);
-    let report = simulate_mapping_probed_with(pi, mapping, measure_cycles, seed, injection, {
-        // Windows are streamed but evicted by the tiny ring; the flow and
-        // heatmap records arrive last, so both survive.
-        &mut sink
-    });
+    let report = paper_network(pi, mapping, measure_cycles, seed, injection).run_probed(&mut sink);
     let flow = sink
         .flow_summaries()
         .next()
@@ -185,7 +106,14 @@ mod tests {
     fn short_simulation_roundtrip() {
         let pi = paper_instance(PaperConfig::C2);
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
-        let report = simulate_mapping(&pi, &mapping, 20_000, 1);
+        let report = paper_network(
+            &pi,
+            &mapping,
+            20_000,
+            1,
+            InjectionProcess::BernoulliPerCycle,
+        )
+        .run();
         assert!(report.fully_drained, "{}", report.summary());
         assert!(report.delivered > 0);
         // Measured g-APL must be in the ballpark of the analytic model.
@@ -207,8 +135,15 @@ mod tests {
         let pi = paper_instance(PaperConfig::C1);
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
         let cycles = 40_000;
-        let bern = simulate_mapping(&pi, &mapping, cycles, 9);
-        let geom = simulate_mapping_with(&pi, &mapping, cycles, 9, InjectionProcess::Geometric);
+        let bern = paper_network(
+            &pi,
+            &mapping,
+            cycles,
+            9,
+            InjectionProcess::BernoulliPerCycle,
+        )
+        .run();
+        let geom = paper_network(&pi, &mapping, cycles, 9, InjectionProcess::Geometric).run();
         assert!(bern.fully_drained && geom.fully_drained);
         // Same offered load ⇒ injected volumes within 5% of each other.
         let inj_ratio = geom.injected as f64 / bern.injected as f64;
@@ -260,9 +195,10 @@ mod tests {
     fn probed_simulation_is_bit_identical() {
         let pi = paper_instance(PaperConfig::C1);
         let mapping = SortSelectSwap::default().map(&pi.instance, 0);
-        let plain = simulate_mapping(&pi, &mapping, 5_000, 3);
+        let net = || paper_network(&pi, &mapping, 5_000, 3, InjectionProcess::BernoulliPerCycle);
+        let plain = net().run();
         let mut sink = RingSink::new(1024);
-        let probed = simulate_mapping_probed(&pi, &mapping, 5_000, 3, &mut sink);
+        let probed = net().run_probed(&mut sink);
         assert!(plain.semantic_eq(&probed), "probe perturbed the run");
         assert!(sink.windows().count() > 0);
     }

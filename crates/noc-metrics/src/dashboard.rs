@@ -82,14 +82,23 @@ impl MetricsSnapshot {
                 "path", "count", "total", "mean", "max"
             ));
             // BTreeMap order sorts children directly under their parent
-            // prefix; indent by path depth to show the hierarchy.
+            // prefix. A span sits one level below its nearest recorded
+            // ancestor and is named by the rest of its path, so one
+            // without recorded ancestors (`sim/serial/cycle`) shows its
+            // full path rather than reading as its neighbour's child.
+            let mut depths: BTreeMap<&str, usize> = BTreeMap::new();
             for (path, s) in &self.spans {
-                let depth = path.matches('/').count();
-                let label = format!(
-                    "{}{}",
-                    "  ".repeat(depth),
-                    path.rsplit('/').next().unwrap_or(path)
-                );
+                let parent = path
+                    .match_indices('/')
+                    .rev()
+                    .map(|(i, _)| &path[..i])
+                    .find(|p| depths.contains_key(p));
+                let (depth, name) = match parent {
+                    Some(p) => (depths[p] + 1, &path[p.len() + 1..]),
+                    None => (0, path.as_str()),
+                };
+                depths.insert(path, depth);
+                let label = format!("{}{name}", "  ".repeat(depth));
                 out.push_str(&format!(
                     "  {label:<44} {:>8} {:>10} {:>10} {:>10}\n",
                     s.count,
@@ -125,7 +134,18 @@ mod tests {
         assert!(text.contains("[remap]"));
         assert!(text.contains("portfolio_evals_total"));
         assert!(text.contains("[spans]"));
-        assert!(text.contains("SSS"));
+        assert!(text.contains("\n    task/SSS "), "{text}");
+    }
+
+    #[test]
+    fn spans_without_recorded_ancestors_show_their_full_path() {
+        let reg = MetricsRegistry::with_clock(ClockMode::Logical);
+        let h = reg.handle();
+        h.record_span("sim/route", 1, 0, 0);
+        h.record_span("sim/serial/cycle", 1, 0, 0);
+        let text = reg.snapshot().render_dashboard(1);
+        assert!(text.contains("\n  sim/route "), "{text}");
+        assert!(text.contains("\n  sim/serial/cycle "), "{text}");
     }
 
     #[test]

@@ -317,9 +317,11 @@ impl SimConfig {
         2 * self.vcs_per_class
     }
 
-    /// Uncontended per-hop latency (router pipeline + link).
+    /// Uncontended per-hop latency (router pipeline + link). At least one
+    /// cycle: deliveries land after the router pass, so even a zero-stage
+    /// router over a zero-cycle link moves a flit one hop per cycle.
     pub fn per_hop_cycles(&self) -> u64 {
-        self.router_stages + self.link_cycles
+        (self.router_stages + self.link_cycles).max(1)
     }
 
     /// Check every structural invariant the simulator relies on.
@@ -486,6 +488,18 @@ mod tests {
         assert!(cfg.crossbar_input_limit);
         assert_eq!(cfg.telemetry_window, 1_000);
         assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn per_hop_cycles_is_at_least_one() {
+        let mut cfg = SimConfig::paper_defaults(Mesh::square(4));
+        cfg.router_stages = 0;
+        cfg.link_cycles = 0;
+        assert_eq!(cfg.per_hop_cycles(), 1);
+        cfg.link_cycles = 1;
+        assert_eq!(cfg.per_hop_cycles(), 1);
+        cfg.router_stages = 2;
+        assert_eq!(cfg.per_hop_cycles(), 3);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! Timing model (matching the paper's Eq. (2) in the uncontended case):
 //! every flit is charged `router_stages` cycles of pipeline delay at each
 //! router that *forwards* it and `link_cycles` per link; ejection at the
-//! destination is free. An uncontended packet of `L` flits over `H` hops
-//! therefore takes exactly `H·(router_stages + link_cycles) + L` cycles —
-//! the analytic model with `td_q = 0`. Any additional cycles observed in
-//! simulation are queueing (`td_q`), which the paper reports as 0–1 cycles
-//! at the evaluated loads.
+//! destination is free. Deliveries land after the router pass, so a hop
+//! never takes less than one cycle. An uncontended packet of `L` flits
+//! over `H` hops therefore takes exactly `H·per_hop_cycles() + L` cycles
+//! ([`SimConfig::per_hop_cycles`]) — the analytic model with
+//! `td_q = 0`. Any additional cycles observed in simulation are queueing
+//! (`td_q`), which the paper reports as 0–1 cycles at the evaluated
+//! loads.
 //!
 //! Flow control: credit-based wormhole with class-partitioned virtual
 //! channels and non-atomic VC reuse (a VC FIFO may hold flits of
@@ -26,8 +28,7 @@ use crate::traffic::{SourceSpec, TrafficSpec};
 use noc_metrics::MetricsHandle;
 use noc_model::{Mesh, PacketClass, TileId, Topology};
 use noc_telemetry::{
-    FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, ProfileRecord,
-    WindowRecord, Windower,
+    FlowSummary, HeatmapRecord, LatencyAccum, NoopSink, PacketRecord, Probe, WindowRecord, Windower,
 };
 use rand::distributions::{Bernoulli, Distribution};
 use rand::rngs::SmallRng;
@@ -327,15 +328,6 @@ struct FlowState {
     /// Packets delivered this cycle, flushed to `Probe::on_packet` after
     /// the router pass (only filled when `wants_packets`).
     pending: Vec<PacketRecord>,
-}
-
-/// Wall-clock lap helper for the self-profiling hook: nanoseconds since
-/// `mark`, resetting the mark.
-fn lap(mark: &mut Instant) -> u64 {
-    let now = Instant::now();
-    let nanos = now.duration_since(*mark).as_nanos() as u64;
-    *mark = now;
-    nanos
 }
 
 /// Immutable per-run context for the router/NI datapath: everything the
@@ -807,11 +799,6 @@ pub struct Network {
     /// [`windower`](Self::windower): `None` on the plain path, so every
     /// hook costs one never-taken branch when telemetry is off.
     flow: Option<Box<FlowState>>,
-    /// Accumulating wall-clock phase profile for the current telemetry
-    /// window. Populated only when the probe opts in via
-    /// `Probe::wants_profile` — the timings are nondeterministic and are
-    /// never fed back into simulation state.
-    profile: Option<Box<ProfileRecord>>,
     /// Pending `(cycle, source, class)` arrival events under
     /// [`InjectionProcess::Geometric`]; empty under Bernoulli. Ties pop in
     /// `(source, class)` order — the same order the per-cycle Bernoulli
@@ -830,13 +817,63 @@ pub struct Network {
     metrics: MetricsHandle,
 }
 
-/// Wall-clock accumulator for the `sim/serial/cycle` metric span, kept
-/// out of `Network` so one run's timings never leak into the next.
+/// With metrics attached, one executed cycle in `PHASE_SAMPLE_EVERY` is
+/// wall-clock timed (DESIGN.md §17.2); every other cycle reads no clock.
+const PHASE_SAMPLE_EVERY: u64 = 64;
+
+/// The per-phase metric spans, in the order a cycle runs them.
+const PHASE_SPANS: [&str; 5] = [
+    "sim/generate",
+    "sim/inject",
+    "sim/route",
+    "sim/traverse",
+    "sim/telemetry",
+];
+
+/// Wall-clock samples of the timed cycles, kept out of `Network` so one
+/// run's timings never leak into the next.
 #[derive(Default)]
-struct CycleTimes {
-    nanos: u64,
-    count: u64,
-    max: u64,
+struct PhaseSamples {
+    /// Cycles timed.
+    cycles: u64,
+    /// Per-phase nanoseconds summed over the timed cycles.
+    nanos: [u64; 5],
+    /// Per-phase largest timed value.
+    max: [u64; 5],
+    /// Largest timed whole cycle.
+    max_cycle: u64,
+}
+
+impl PhaseSamples {
+    /// Fold one timed cycle: `marks[i]..marks[i + 1]` brackets phase `i`.
+    fn add(&mut self, marks: &[Instant; 6]) {
+        self.cycles += 1;
+        let mut whole = 0;
+        for (i, pair) in marks.windows(2).enumerate() {
+            let nanos = pair[1].duration_since(pair[0]).as_nanos() as u64;
+            self.nanos[i] += nanos;
+            self.max[i] = self.max[i].max(nanos);
+            whole += nanos;
+        }
+        self.max_cycle = self.max_cycle.max(whole);
+    }
+
+    /// Record the five phase spans and `sim/serial/cycle`, their sum, each
+    /// counting the `executed` cycles, with the sampled nanoseconds
+    /// scaled by `executed / cycles`.
+    fn record(&self, m: &MetricsHandle, executed: u64) {
+        if self.cycles == 0 {
+            return;
+        }
+        let mut total = 0;
+        for (i, span) in PHASE_SPANS.into_iter().enumerate() {
+            let scaled = u128::from(self.nanos[i]) * u128::from(executed) / u128::from(self.cycles);
+            let scaled = scaled as u64;
+            m.record_span(span, executed, scaled, self.max[i]);
+            total += scaled;
+        }
+        m.record_span("sim/serial/cycle", executed, total, self.max_cycle);
+    }
 }
 
 /// Class tag stored in arrival events (heap tuples order by it).
@@ -995,7 +1032,6 @@ impl Network {
             transfers: Transfers::default(),
             windower: None,
             flow: None,
-            profile: None,
             arrivals: BinaryHeap::new(),
             arrival_draws: 0,
             skipped_cycles: 0,
@@ -1007,7 +1043,9 @@ impl Network {
     /// Attach a runtime-metrics handle (DESIGN.md §17). The run then
     /// reports `sim_*` counters (cycles, injected/delivered packets,
     /// link traversals, skipped cycles, router steps), a
-    /// `sim_cycles_per_sec` wall gauge and the `sim/serial/cycle` span.
+    /// `sim_cycles_per_sec` wall gauge, the sampled
+    /// `sim/{generate,inject,route,traverse,telemetry}` phase spans and
+    /// their sum `sim/serial/cycle`.
     /// Metrics are write-only observers: results stay bit-identical to
     /// a run without the handle (the PR 2 purity contract).
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
@@ -1032,11 +1070,9 @@ impl Network {
     /// [`HeatmapRecord`] (per-link/per-VC/per-router spatial counters over
     /// all phases), each delivered once at end of run. Probes that opt in
     /// via [`Probe::wants_packets`] also receive one [`PacketRecord`] per
-    /// delivered packet, and [`Probe::wants_profile`] adds per-window
-    /// wall-clock phase profiles ([`ProfileRecord`], nondeterministic).
-    /// The probe observes the simulation but never influences it: a fixed
-    /// seed produces a bit-identical [`SimReport`] whatever the probe
-    /// (pinned by `tests/sim_determinism.rs`).
+    /// delivered packet. The probe observes the simulation but never
+    /// influences it: a fixed seed produces a bit-identical [`SimReport`]
+    /// whatever the probe (pinned by `tests/sim_determinism.rs`).
     ///
     /// [`WindowRecord`]: noc_telemetry::WindowRecord
     pub fn run_probed(self, probe: &mut dyn Probe) -> SimReport {
@@ -1079,10 +1115,13 @@ impl Network {
     ) -> Result<SimReport, ConfigError> {
         let ctx = StepCtx::new(&self.cfg);
         let wall_start = Instant::now();
-        // Span accumulator; `timed` hoists the handle check so the
-        // disabled path pays one branch per cycle.
-        let mut times = CycleTimes::default();
+        // Phase timing; `timed` hoists the handle check so the disabled
+        // path pays one branch per phase.
         let timed = self.metrics.enabled();
+        let mut samples = PhaseSamples::default();
+        // Lap marks of a timed cycle: `marks[i]..marks[i + 1]` brackets
+        // phase `i` of `PHASE_SPANS`.
+        let mut marks = [wall_start; 6];
         if controller.is_some() {
             self.source_accum = vec![SourceCounters::default(); self.sources.len()];
         }
@@ -1107,9 +1146,6 @@ impl Network {
                 wants_packets: probe.wants_packets(),
                 pending: Vec::new(),
             }));
-            if probe.wants_profile() {
-                self.profile = Some(Box::new(ProfileRecord::default()));
-            }
         }
         let inject_end = self.cfg.warmup_cycles + self.cfg.measure_cycles;
         let drain_end = inject_end + self.cfg.max_drain_cycles;
@@ -1117,12 +1153,18 @@ impl Network {
         if geometric {
             self.seed_arrivals(inject_end);
         }
-        // Self-profiling lap mark, advanced after every timed section.
-        // `None` unless the probe opted into profiles, so the plain path
-        // takes no timestamps beyond the existing `wall_start`.
-        let mut mark: Option<Instant> = self.profile.as_ref().map(|_| Instant::now());
         let mut cycle = 0u64;
         while cycle < inject_end || (self.inflight_total > 0 && cycle < drain_end) {
+            // `cycle - skipped_cycles` counts the cycles executed so far, so
+            // the timed cycles depend on the seed alone and the geometric
+            // fast-forward cannot skew which ones get timed.
+            let sampled = timed && (cycle - self.skipped_cycles).is_multiple_of(PHASE_SAMPLE_EVERY);
+            let mut mark = |i: usize| {
+                if sampled {
+                    marks[i] = Instant::now();
+                }
+            };
+            mark(0);
             if cycle < inject_end {
                 if geometric {
                     self.generate_geometric(cycle, inject_end);
@@ -1130,20 +1172,13 @@ impl Network {
                     self.generate(cycle);
                 }
             }
-            if let Some(m) = mark.as_mut() {
-                let nanos = lap(m);
-                if let Some(p) = self.profile.as_mut() {
-                    p.generate_nanos += nanos;
-                }
-            }
-            let t0 = timed.then(Instant::now);
-            self.cycle_serial(cycle, &ctx, &mut mark);
-            if let Some(t) = t0 {
-                let nanos = t.elapsed().as_nanos() as u64;
-                times.nanos += nanos;
-                times.count += 1;
-                times.max = times.max.max(nanos);
-            }
+            mark(1);
+            self.inject_pass(cycle, &ctx);
+            mark(2);
+            self.router_pass(cycle, &ctx);
+            mark(3);
+            self.apply_transfers(cycle);
+            mark(4);
             // `total_buffered` is maintained incrementally; sampling it here
             // (after deliveries are applied) matches the original
             // end-of-cycle scan point exactly.
@@ -1156,12 +1191,8 @@ impl Network {
                     probe.on_packet(&rec);
                 }
             }
-            let mut flushed_window_end = None;
             let mut retarget = None;
             if let Some(w) = self.windower.as_mut() {
-                // The current window's (truncation-aware) end, captured
-                // before `end_cycle` may flush it and move on.
-                let wend = w.current_window_end();
                 match controller.as_deref_mut() {
                     Some(ctrl) => {
                         // Tee the flush through a capture so the
@@ -1177,9 +1208,6 @@ impl Network {
                     }
                     None => w.end_cycle(cycle, self.total_buffered, self.live_packets, probe),
                 }
-                if cycle + 1 == wend {
-                    flushed_window_end = Some(wend);
-                }
             }
             // Apply a requested mapping swap exactly at the window
             // boundary: packets spawned from the next cycle on use the
@@ -1188,25 +1216,9 @@ impl Network {
             if let Some(tiles) = retarget {
                 self.retarget_sources(&tiles)?;
             }
-            if let Some(m) = mark.as_mut() {
-                let nanos = lap(m);
-                if let Some(p) = self.profile.as_mut() {
-                    p.telemetry_nanos += nanos;
-                }
-            }
-            // A window just flushed: emit its phase profile and start the
-            // next one on the same boundary.
-            if let Some(wend) = flushed_window_end {
-                if let Some(p) = self.profile.as_mut() {
-                    let mut rec = **p;
-                    rec.end_cycle = wend;
-                    **p = ProfileRecord {
-                        window_index: rec.window_index + 1,
-                        start_cycle: wend,
-                        ..ProfileRecord::default()
-                    };
-                    probe.on_profile(&rec);
-                }
+            mark(5);
+            if sampled {
+                samples.add(&marks);
             }
             cycle += 1;
             // Event-horizon fast-forward: with nothing in flight (no queued
@@ -1235,15 +1247,6 @@ impl Network {
         }
         if let Some(w) = self.windower.take() {
             w.finish(cycle, self.total_buffered, self.live_packets, probe);
-        }
-        // Final partial profile window (skipped when the last cycle closed
-        // a window exactly, leaving an empty accumulator behind).
-        if let Some(p) = self.profile.take() {
-            if p.start_cycle < cycle {
-                let mut rec = *p;
-                rec.end_cycle = cycle;
-                probe.on_profile(&rec);
-            }
         }
         // End-of-run observability delivery: close the occupancy ledgers,
         // then flow summary before heatmap (documented order).
@@ -1292,18 +1295,18 @@ impl Network {
                     self.cycles_run as f64 * 1e9 / wall as f64,
                 );
             }
-            if times.count > 0 {
-                m.record_span("sim/serial/cycle", times.count, times.nanos, times.max);
-            }
+            samples.record(m, self.cycles_run - self.skipped_cycles);
         }
         Ok(std::mem::replace(&mut self.report, SimReport::new(0)))
     }
 
-    /// One cycle of the datapath: NI injection, then the router pass, then
-    /// the deferred transfers. Routers and NIs are visited in ascending
-    /// tile order and every probe hook runs inline, in the order the
-    /// effects happen.
-    fn cycle_serial(&mut self, cycle: u64, ctx: &StepCtx, mark: &mut Option<Instant>) {
+    /// A cycle's datapath is three passes: NI injection
+    /// ([`inject_pass`](Self::inject_pass)), the router pass
+    /// ([`router_pass`](Self::router_pass)), then the deferred transfers
+    /// ([`apply_transfers`](Self::apply_transfers)). Routers and NIs are
+    /// visited in ascending tile order and every probe hook runs inline,
+    /// in the order the effects happen.
+    fn inject_pass(&mut self, cycle: u64, ctx: &StepCtx) {
         let Network {
             routers,
             nis,
@@ -1311,8 +1314,6 @@ impl Network {
             active_nis,
             flow,
             total_buffered,
-            router_steps,
-            transfers,
             ..
         } = self;
         for w in 0..active_nis.words.len() {
@@ -1333,12 +1334,20 @@ impl Network {
                 }
             }
         }
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.inject_nanos += nanos;
-            }
-        }
+    }
+
+    /// Step every awake active router; their effects queue in
+    /// `transfers`.
+    fn router_pass(&mut self, cycle: u64, ctx: &StepCtx) {
+        let Network {
+            routers,
+            active_routers,
+            flow,
+            total_buffered,
+            router_steps,
+            transfers,
+            ..
+        } = self;
         // A router still asleep (`wake > cycle`: no front flit out of the
         // pipeline) is skipped, which is exact — such a step routes
         // nothing, allocates nothing, fires no probe hook and leaves the
@@ -1361,19 +1370,6 @@ impl Network {
                 if router.buffered == 0 {
                     active_routers.remove(r);
                 }
-            }
-        }
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.route_nanos += nanos;
-            }
-        }
-        self.apply_transfers(cycle);
-        if let Some(m) = mark.as_mut() {
-            let nanos = lap(m);
-            if let Some(p) = self.profile.as_mut() {
-                p.traverse_nanos += nanos;
             }
         }
     }

@@ -21,8 +21,6 @@
 //! * [`HeatmapRecord`] — spatial per-link flit traversals, per-VC
 //!   buffer-occupancy integrals and per-router stall counters on the
 //!   mesh, with an ASCII renderer;
-//! * [`ProfileRecord`] — opt-in wall-clock phase profile of the
-//!   simulator loop, per window (nondeterministic, never fed back);
 //! * [`SolverEvent`] — solver-side events (SSS swap acceptances, SA
 //!   temperature checkpoints, incremental-eval deltas);
 //! * [`Probe`] / [`Sink`] — the trait pair instrumented code talks to.
@@ -65,4 +63,4 @@ pub use latency::LatencyAccum;
 pub use probe::{NoopSink, Probe, Record, Sink};
 pub use sink::{JsonLinesSink, RingSink};
 pub use solver::SolverEvent;
-pub use window::{Phase, ProfileRecord, WindowRecord, Windower};
+pub use window::{Phase, WindowRecord, Windower};

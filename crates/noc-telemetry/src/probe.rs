@@ -9,7 +9,7 @@
 use crate::heatmap::HeatmapRecord;
 use crate::histogram::{FlowSummary, PacketRecord};
 use crate::solver::SolverEvent;
-use crate::window::{ProfileRecord, WindowRecord};
+use crate::window::WindowRecord;
 
 /// A telemetry record, as delivered to a [`Sink`].
 ///
@@ -32,9 +32,6 @@ pub enum Record {
     Flow(FlowSummary),
     /// End-of-run spatial heatmap.
     Heatmap(HeatmapRecord),
-    /// Wall-clock phase profile for one finished window (opt-in via
-    /// [`Probe::wants_profile`]; nondeterministic by nature).
-    Profile(ProfileRecord),
 }
 
 /// Instrumentation interface invoked by the simulator and the solvers.
@@ -79,17 +76,6 @@ pub trait Probe {
 
     /// The end-of-run spatial heatmap (delivered once, finalized).
     fn on_heatmap(&mut self, _heatmap: &HeatmapRecord) {}
-
-    /// Whether the probe wants wall-clock phase profiles. Profiles carry
-    /// nondeterministic nanosecond timings, so they are opt-in and never
-    /// recorded unless this returns `true`.
-    fn wants_profile(&self) -> bool {
-        false
-    }
-
-    /// A window's wall-clock phase profile finished (only when
-    /// [`wants_profile`](Probe::wants_profile) returns `true`).
-    fn on_profile(&mut self, _record: &ProfileRecord) {}
 }
 
 /// A consumer of finished telemetry records (storage backends).
@@ -108,11 +94,6 @@ pub trait Sink {
 
     /// See [`Probe::wants_packets`].
     fn wants_packets(&self) -> bool {
-        false
-    }
-
-    /// See [`Probe::wants_profile`].
-    fn wants_profile(&self) -> bool {
         false
     }
 }
@@ -144,14 +125,6 @@ impl<S: Sink> Probe for S {
 
     fn on_heatmap(&mut self, heatmap: &HeatmapRecord) {
         self.record(&Record::Heatmap(heatmap.clone()));
-    }
-
-    fn wants_profile(&self) -> bool {
-        Sink::wants_profile(self)
-    }
-
-    fn on_profile(&mut self, record: &ProfileRecord) {
-        self.record(&Record::Profile(*record));
     }
 }
 
@@ -241,7 +214,6 @@ mod tests {
             let probe: &mut dyn Probe = &mut c;
             // Opt-in hooks default off even for enabled sinks.
             assert!(!probe.wants_packets());
-            assert!(!probe.wants_profile());
             probe.on_flow(&crate::histogram::FlowSummary::new(1));
             probe.on_heatmap(&crate::heatmap::HeatmapRecord::new(2, 2, 2));
         }

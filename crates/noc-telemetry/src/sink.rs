@@ -9,24 +9,21 @@ use crate::json::Value;
 use crate::latency::LatencyAccum;
 use crate::probe::{Record, Sink};
 use crate::solver::SolverEvent;
-use crate::window::{ProfileRecord, WindowRecord};
+use crate::window::WindowRecord;
 
 /// Bounded in-memory capture that keeps the **newest** records.
 ///
 /// When full, recording pushes the oldest record out and counts it as
 /// dropped, so a long run with a small ring ends with the tail of the
 /// trace — the part post-mortem analysis usually wants. Per-packet
-/// records and wall-clock profiles are opt-in
-/// ([`with_packets`](RingSink::with_packets) /
-/// [`with_profile`](RingSink::with_profile)); end-of-run flow and
-/// heatmap records always arrive.
+/// records are opt-in ([`with_packets`](RingSink::with_packets));
+/// end-of-run flow and heatmap records always arrive.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     capacity: usize,
     records: VecDeque<Record>,
     dropped: u64,
     want_packets: bool,
-    want_profile: bool,
 }
 
 impl RingSink {
@@ -38,19 +35,12 @@ impl RingSink {
             records: VecDeque::with_capacity(capacity),
             dropped: 0,
             want_packets: false,
-            want_profile: false,
         }
     }
 
     /// Opt into one [`PacketRecord`] per delivered packet.
     pub fn with_packets(mut self) -> Self {
         self.want_packets = true;
-        self
-    }
-
-    /// Opt into wall-clock [`ProfileRecord`]s (nondeterministic).
-    pub fn with_profile(mut self) -> Self {
-        self.want_profile = true;
         self
     }
 
@@ -99,14 +89,6 @@ impl RingSink {
         })
     }
 
-    /// Retained per-window phase profiles, oldest first.
-    pub fn profiles(&self) -> impl Iterator<Item = &ProfileRecord> {
-        self.records.iter().filter_map(|r| match r {
-            Record::Profile(p) => Some(p),
-            _ => None,
-        })
-    }
-
     /// Number of retained records.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -140,10 +122,6 @@ impl Sink for RingSink {
     fn wants_packets(&self) -> bool {
         self.want_packets
     }
-
-    fn wants_profile(&self) -> bool {
-        self.want_profile
-    }
 }
 
 /// Streams records as JSON lines (one object per record per line) to any
@@ -151,7 +129,7 @@ impl Sink for RingSink {
 ///
 /// The schema is documented in DESIGN.md; every line carries a `"type"`
 /// discriminator (`"window"`, `"solver"`, `"packet"`, `"flow"`,
-/// `"heatmap"` or `"profile"`). I/O errors are sticky: the
+/// `"heatmap"`). I/O errors are sticky: the
 /// first failure is remembered and later records are discarded, so a full
 /// disk cannot panic the simulator mid-run. Check
 /// [`error`](JsonLinesSink::error) / [`finish`](JsonLinesSink::finish).
@@ -161,7 +139,6 @@ pub struct JsonLinesSink<W: Write> {
     written: u64,
     error: Option<std::io::Error>,
     want_packets: bool,
-    want_profile: bool,
 }
 
 impl<W: Write> JsonLinesSink<W> {
@@ -171,19 +148,12 @@ impl<W: Write> JsonLinesSink<W> {
             written: 0,
             error: None,
             want_packets: false,
-            want_profile: false,
         }
     }
 
     /// Opt into one `"packet"` line per delivered packet.
     pub fn with_packets(mut self) -> Self {
         self.want_packets = true;
-        self
-    }
-
-    /// Opt into `"profile"` lines (nondeterministic wall-clock timings).
-    pub fn with_profile(mut self) -> Self {
-        self.want_profile = true;
         self
     }
 
@@ -230,10 +200,6 @@ impl<W: Write> Sink for JsonLinesSink<W> {
 
     fn wants_packets(&self) -> bool {
         self.want_packets
-    }
-
-    fn wants_profile(&self) -> bool {
-        self.want_profile
     }
 }
 
@@ -467,25 +433,6 @@ impl HeatmapRecord {
     }
 }
 
-impl ProfileRecord {
-    /// The JSON-lines representation of this profile (schema in
-    /// DESIGN.md). Wall-clock values: nondeterministic across runs.
-    pub fn to_json(&self) -> Value {
-        Value::obj([
-            ("type", Value::from("profile")),
-            ("window_index", Value::from(self.window_index)),
-            ("start_cycle", Value::from(self.start_cycle)),
-            ("end_cycle", Value::from(self.end_cycle)),
-            ("generate_nanos", Value::from(self.generate_nanos)),
-            ("inject_nanos", Value::from(self.inject_nanos)),
-            ("route_nanos", Value::from(self.route_nanos)),
-            ("traverse_nanos", Value::from(self.traverse_nanos)),
-            ("telemetry_nanos", Value::from(self.telemetry_nanos)),
-            ("total_nanos", Value::from(self.total_nanos())),
-        ])
-    }
-}
-
 impl Record {
     /// The JSON-lines representation of this record.
     pub fn to_json(&self) -> Value {
@@ -495,7 +442,6 @@ impl Record {
             Record::Packet(p) => p.to_json(),
             Record::Flow(f) => f.to_json(),
             Record::Heatmap(h) => h.to_json(),
-            Record::Profile(p) => p.to_json(),
         }
     }
 }
@@ -637,10 +583,8 @@ mod tests {
     fn ring_opt_ins_and_new_record_accessors() {
         let ring = RingSink::new(4);
         assert!(!Sink::wants_packets(&ring));
-        assert!(!Sink::wants_profile(&ring));
-        let mut ring = RingSink::new(8).with_packets().with_profile();
+        let mut ring = RingSink::new(8).with_packets();
         assert!(Sink::wants_packets(&ring));
-        assert!(Sink::wants_profile(&ring));
 
         let pkt = PacketRecord {
             src: 0,
@@ -663,20 +607,9 @@ mod tests {
         ring.record(&Record::Packet(pkt));
         ring.record(&Record::Flow(flow));
         ring.record(&Record::Heatmap(heat));
-        ring.record(&Record::Profile(ProfileRecord {
-            window_index: 0,
-            start_cycle: 0,
-            end_cycle: 100,
-            generate_nanos: 1,
-            inject_nanos: 2,
-            route_nanos: 3,
-            traverse_nanos: 4,
-            telemetry_nanos: 5,
-        }));
         assert_eq!(ring.packets().count(), 1);
         assert_eq!(ring.flow_summaries().count(), 1);
         assert_eq!(ring.heatmaps().count(), 1);
-        assert_eq!(ring.profiles().count(), 1);
         assert_eq!(ring.windows().count(), 0);
         assert_eq!(ring.solver_events().count(), 0);
     }
@@ -733,20 +666,6 @@ mod tests {
             .map(|l| l.get("flits").and_then(Value::as_u64).unwrap())
             .sum();
         assert_eq!(total, 2);
-
-        let v = ProfileRecord {
-            window_index: 3,
-            start_cycle: 3000,
-            end_cycle: 4000,
-            generate_nanos: 10,
-            inject_nanos: 20,
-            route_nanos: 30,
-            traverse_nanos: 40,
-            telemetry_nanos: 50,
-        }
-        .to_json();
-        assert_eq!(v.get("type").and_then(Value::as_str), Some("profile"));
-        assert_eq!(v.get("total_nanos").and_then(Value::as_u64), Some(150));
     }
 
     #[test]

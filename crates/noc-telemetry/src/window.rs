@@ -44,50 +44,6 @@ impl Phase {
     }
 }
 
-/// Wall-clock phase profile for one window of simulated cycles — the
-/// simulator's self-profiling hook (DESIGN.md §12).
-///
-/// Timings are nanoseconds of host wall-clock spent in each simulator
-/// phase while the window's cycles ran. Ejection is folded into
-/// `route_nanos`: ejection happens inside the per-router
-/// route/arbitrate pass and is too fine-grained to time separately
-/// without perturbing the loop. Profiles are inherently
-/// **nondeterministic** — they never feed back into simulation state and
-/// are only produced for probes that opt in via
-/// [`Probe::wants_profile`](crate::probe::Probe::wants_profile).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfileRecord {
-    /// Index of the corresponding [`WindowRecord`].
-    pub window_index: u64,
-    /// First cycle covered.
-    pub start_cycle: u64,
-    /// One past the last cycle covered.
-    pub end_cycle: u64,
-    /// Nanoseconds generating traffic (Bernoulli draws or geometric
-    /// event-horizon sampling).
-    pub generate_nanos: u64,
-    /// Nanoseconds moving flits from NI queues into router input buffers.
-    pub inject_nanos: u64,
-    /// Nanoseconds in the per-router route/arbitrate/eject pass.
-    pub route_nanos: u64,
-    /// Nanoseconds applying link traversals and credit returns.
-    pub traverse_nanos: u64,
-    /// Nanoseconds spent on telemetry bookkeeping (window accounting,
-    /// packet-record delivery).
-    pub telemetry_nanos: u64,
-}
-
-impl ProfileRecord {
-    /// Total profiled nanoseconds across all phases.
-    pub fn total_nanos(&self) -> u64 {
-        self.generate_nanos
-            + self.inject_nanos
-            + self.route_nanos
-            + self.traverse_nanos
-            + self.telemetry_nanos
-    }
-}
-
 /// Telemetry for one window of simulated cycles `[start_cycle,
 /// end_cycle)`.
 ///

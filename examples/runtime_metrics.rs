@@ -3,7 +3,8 @@
 //! rendered the way `obm --metrics` / `obm status` do it:
 //!
 //! 1. **simulator** — a seeded 4×4 run reports packet/cycle counters
-//!    and the per-cycle `sim/serial/cycle` span;
+//!    and the sampled `sim/{generate,inject,route,traverse,telemetry}`
+//!    phase spans with their sum `sim/serial/cycle`;
 //! 2. **portfolio** — a solver race reports task spans, evaluation
 //!    counters and throughput gauges;
 //! 3. **placement** — `co_optimize` reports candidate/memo/inner-solve

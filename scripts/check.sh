@@ -266,6 +266,18 @@ for family in sim_runs_total sim_cycles_total sim_injected_packets_total \
     grep -q "^$family " "$smokedir/sim.prom" \
         || { echo "metrics family $family missing from simulate snapshot"; exit 1; }
 done
+# Every sampled phase span counts each executed cycle, as its sum
+# `sim/serial/cycle` does.
+span_count() {
+    sed -n "s|^obm_span_nanos_count{span=\"$1\"} ||p" "$smokedir/sim.prom"
+}
+cycles=$(span_count sim/serial/cycle)
+[[ -n "$cycles" && "$cycles" -gt 0 ]] \
+    || { echo "sim/serial/cycle span missing from simulate snapshot"; exit 1; }
+for phase in generate inject route traverse telemetry; do
+    [[ "$(span_count "sim/$phase")" == "$cycles" ]] \
+        || { echo "sim/$phase span count differs from sim/serial/cycle ($cycles)"; exit 1; }
+done
 OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" --algos sss,greedy \
     --seeds 0 --metrics "$smokedir/solve.prom" >/dev/null
 for family in portfolio_solves_total portfolio_tasks_total \

@@ -87,8 +87,7 @@ pub mod prelude {
     };
     pub use crate::telemetry::{
         FlowSummary, HeatmapRecord, JsonLinesSink, LatencyAccum, LatencyHistogram, NoopSink,
-        PacketRecord, Phase, Probe, ProfileRecord, Record, RingSink, Sink, SolverEvent,
-        WindowRecord,
+        PacketRecord, Phase, Probe, Record, RingSink, Sink, SolverEvent, WindowRecord,
     };
     pub use crate::workload::{PaperConfig, WorkloadBuilder};
 }

@@ -23,6 +23,7 @@
 mod common;
 
 use common::fnv1a;
+use obm::metrics::{ClockMode, MetricsRegistry};
 use obm::model::{MemoryControllers, Mesh, TileId, Topology};
 use obm::sim::{
     InjectionProcess, Network, RoutingKind, Schedule, SimConfig, SimReport, SourceSpec, TrafficSpec,
@@ -817,31 +818,55 @@ proptest! {
     }
 }
 
-/// Wall-clock profile records are opt-in observers: a `with_profile`
-/// probe must not perturb the golden semantics, and the profiled windows
-/// must tile the run exactly like the telemetry windows do.
+/// Sampled phase spans are write-only observers that count every
+/// executed cycle. Under both injection processes (Geometric exercises
+/// the fast-forward) a metered run is `semantic_eq` to the plain one,
+/// each `sim/<phase>` span counts `cycles_run − skipped_cycles`,
+/// `sim/serial/cycle` totals the five phases, and the logical clock
+/// zeroes every duration.
 #[test]
-fn profile_records_cover_run_without_perturbing_it() {
-    let mut sink = RingSink::new(1_024).with_profile();
-    let r = small_scenario_network().run_probed(&mut sink);
-    assert!(
-        r.semantic_eq(&small_scenario()),
-        "profile probe perturbed the run"
-    );
-    let profiles: Vec<_> = sink.profiles().copied().collect();
-    let windows: Vec<_> = sink.windows().cloned().collect();
-    assert_eq!(profiles.len(), windows.len());
-    for (p, w) in profiles.iter().zip(&windows) {
-        assert_eq!(p.window_index, w.index);
-        assert_eq!(p.start_cycle, w.start_cycle);
-        assert_eq!(p.end_cycle, w.end_cycle);
+fn metered_runs_span_every_executed_cycle_without_perturbing_it() {
+    const PHASES: [&str; 5] = [
+        "sim/generate",
+        "sim/inject",
+        "sim/route",
+        "sim/traverse",
+        "sim/telemetry",
+    ];
+    for network in [small_scenario_network, geometric_small_scenario_network] {
+        let plain = network().run();
+        let executed = plain.network.cycles_run - plain.network.skipped_cycles;
+        for clock in [ClockMode::Wall, ClockMode::Logical] {
+            let registry = MetricsRegistry::with_clock(clock);
+            let metered = network().with_metrics(registry.handle()).run();
+            assert!(metered.semantic_eq(&plain), "metrics perturbed the run");
+            let snap = registry.snapshot();
+            let cycle = &snap.spans["sim/serial/cycle"];
+            let mut total = 0;
+            for phase in PHASES {
+                let span = &snap.spans[phase];
+                assert_eq!(span.count, executed, "{phase} under {clock:?}");
+                if clock == ClockMode::Logical {
+                    assert_eq!((span.total_nanos, span.max_nanos), (0, 0), "{phase}");
+                }
+                total += span.total_nanos;
+            }
+            assert_eq!(cycle.count, executed);
+            assert_eq!(cycle.total_nanos, total);
+            if clock == ClockMode::Logical {
+                assert_eq!((cycle.total_nanos, cycle.max_nanos), (0, 0));
+            }
+        }
     }
-    // Wall time was actually measured somewhere in the run.
-    assert!(profiles.iter().map(|p| p.total_nanos()).sum::<u64>() > 0);
-    // A probe that does NOT opt in receives no profile records.
-    let mut plain = RingSink::new(1_024);
-    small_scenario_network().run_probed(&mut plain);
-    assert_eq!(plain.profiles().count(), 0);
+    // The geometric run really fast-forwarded, so its executed count is
+    // not just `cycles_run`.
+    assert!(
+        geometric_small_scenario_network()
+            .run()
+            .network
+            .skipped_cycles
+            > 0
+    );
 }
 
 /// Nearest-rank quantile on a plain sorted vector — the reference the
@@ -1319,16 +1344,16 @@ fn deferral_network(torus: bool, link_cycles: u64, router_stages: u64, limit: bo
 /// captured when the router pass still recorded every effect and
 /// replayed it after the pass.
 const GOLDEN_DEFERRAL: [[u64; 3]; 16] = [
-    [0xd909b0b07265463b, 0x621ac19d543ccb1d, 0x10120561ef412cc2],
-    [0x407cf1416b40abbb, 0x297fc80395c0d3fe, 0xc3ddfb8d596a3245],
+    [0x2edfcb8728245ef8, 0x621ac19d543ccb1d, 0x10120561ef412cc2],
+    [0x42003019d1900e3b, 0x297fc80395c0d3fe, 0xc3ddfb8d596a3245],
     [0x73029f1bbbedafdd, 0x136674b99fbd2515, 0x481b1dd4b0f7e87f],
     [0x1be8fba1cf3ad3a9, 0xe6b9c9093054e5f1, 0x2c7458b6a8dd21a5],
     [0x2edfcb8728245ef8, 0x621ac19d543ccb1d, 0x10120561ef412cc2],
     [0x42003019d1900e3b, 0x297fc80395c0d3fe, 0xc3ddfb8d596a3245],
     [0x10752dc7958d686d, 0x4252662dca93318a, 0xd6a90da7fbb39766],
     [0x1f761a0315ad8f6c, 0x02ace759a5204249, 0x00dc8b834a44b835],
-    [0xed363877b304ca33, 0x52e3928767fa26ad, 0x0b94ccae4c8287ba],
-    [0x0e3b32828d59ff31, 0x6877d5c3fe3f8b67, 0xa52c8149f8553319],
+    [0x1b8b8c2880dae0a7, 0x52e3928767fa26ad, 0x0b94ccae4c8287ba],
+    [0x3a1432d268526365, 0x6877d5c3fe3f8b67, 0xa52c8149f8553319],
     [0x2638751a87b65161, 0x4ac56677c4b63bc6, 0x77cd4a0d76b32485],
     [0xaccee649947e7246, 0x84db940eb4f9bbe6, 0x90b5814663a20dd0],
     [0x1b8b8c2880dae0a7, 0x52e3928767fa26ad, 0x0b94ccae4c8287ba],
@@ -1343,6 +1368,10 @@ const GOLDEN_DEFERRAL: [[u64; 3]; 16] = [
 /// flit or credit applied mid-pass would be visible to a router later
 /// in the scan in the same cycle, so each of these corners moves a
 /// fingerprint if either kind of transfer is applied inline.
+///
+/// A zero-stage router moves a flit one hop per cycle whether its links
+/// take zero cycles or one, so both link settings give the same run and
+/// the same report (`per_hop_cycles()` is 1 for both, so `td_q` agrees).
 #[test]
 fn deferred_transfers_reproduce_pinned_fingerprints() {
     let mut got = Vec::new();
@@ -1367,4 +1396,11 @@ fn deferred_transfers_reproduce_pinned_fingerprints() {
         }
     }
     assert_eq!(got, GOLDEN_DEFERRAL, "\n{got:#x?}");
+    // Rows are ordered (torus, link, stages, limit); compare the
+    // zero-stage rows of link 0 against link 1.
+    for torus in [0, 8] {
+        for limit in [0, 1] {
+            assert_eq!(got[torus + limit], got[torus + 4 + limit]);
+        }
+    }
 }
