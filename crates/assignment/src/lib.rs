@@ -11,6 +11,10 @@
 //! assigned to a distinct column; extra columns stay free), which is what
 //! mapping `N_a` threads onto a candidate set of `≥ N_a` tiles needs.
 //!
+//! A caller solving many matrices keeps one [`Workspace`] (and refills one
+//! [`CostMatrix`]) so repeated solves allocate nothing;
+//! [`CostMatrix::solve`] is the same solver on a fresh workspace.
+//!
 //! ```
 //! use assignment::CostMatrix;
 //! let costs = CostMatrix::from_rows(&[
@@ -30,7 +34,7 @@ mod matrix;
 mod solver;
 
 pub use matrix::CostMatrix;
-pub use solver::Solution;
+pub use solver::{Solution, Workspace};
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Dense row-major cost matrix.
 
-use crate::solver::{solve, Solution};
+use crate::solver::{Solution, Workspace};
 
 /// A dense `rows × cols` matrix of `f64` assignment costs.
 ///
@@ -20,16 +20,7 @@ impl CostMatrix {
     /// Panics if either dimension is zero or `rows > cols` (the solver
     /// assigns every row, so it needs at least as many columns).
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
-        assert!(
-            rows <= cols,
-            "need rows <= cols ({rows} > {cols}); transpose the problem"
-        );
-        CostMatrix {
-            rows,
-            cols,
-            data: vec![0.0; rows * cols],
-        }
+        CostMatrix::from_fn(rows, cols, |_, _| 0.0)
     }
 
     /// Build from row slices.
@@ -51,14 +42,40 @@ impl CostMatrix {
     /// Build by evaluating `f(row, col)` at every entry — the natural way
     /// to produce the paper's Eq. (13) cost matrix
     /// `cost_jk = c_j · TC(k) + m_j · TM(k)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut m = CostMatrix::zeros(rows, cols);
+    ///
+    /// # Panics
+    /// Panics as [`zeros`](Self::zeros) does.
+    pub fn from_fn(rows: usize, cols: usize, f: impl FnMut(usize, usize) -> f64) -> Self {
+        let mut m = CostMatrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::with_capacity(rows * cols),
+        };
+        m.refill(rows, cols, f);
+        m
+    }
+
+    /// Reshape to `rows × cols` and set every entry to `f(row, col)`
+    /// (row-major order), reusing the matrix's buffer: a caller that
+    /// solves many matrices refills one instead of building each.
+    ///
+    /// # Panics
+    /// Panics as [`zeros`](Self::zeros) does on the new shape.
+    pub fn refill(&mut self, rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) {
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
+        assert!(
+            rows <= cols,
+            "need rows <= cols ({rows} > {cols}); transpose the problem"
+        );
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.reserve(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
-                m.data[r * cols + c] = f(r, c);
+                self.data.push(f(r, c));
             }
         }
-        m
     }
 
     /// Number of rows (workers).
@@ -94,12 +111,19 @@ impl CostMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Solve the minimum-cost assignment for this matrix.
+    /// Solve the minimum-cost assignment for this matrix with a fresh
+    /// [`Workspace`] (solve many matrices through one workspace to reuse
+    /// its buffers).
     ///
     /// # Panics
     /// Panics if any entry is non-finite.
     pub fn solve(&self) -> Solution {
-        solve(self)
+        let mut ws = Workspace::new();
+        let cost = ws.solve(self);
+        Solution {
+            row_to_col: ws.into_row_to_col(),
+            cost,
+        }
     }
 }
 
@@ -112,6 +136,22 @@ mod tests {
         let m = CostMatrix::from_fn(2, 3, |r, c| (r * 10 + c) as f64);
         assert_eq!(m.get(1, 2), 12.0);
         assert_eq!(m.row(0), &[0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn refill_reshapes_in_place() {
+        let mut m = CostMatrix::from_fn(3, 4, |r, c| (r + c) as f64);
+        m.refill(2, 2, |r, c| (r * 10 + c) as f64);
+        assert_eq!(
+            m,
+            CostMatrix::from_rows(&[vec![0.0, 1.0], vec![10.0, 11.0]])
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn refill_rejects_more_rows_than_cols() {
+        CostMatrix::zeros(2, 2).refill(3, 2, |_, _| 0.0);
     }
 
     #[test]

@@ -962,6 +962,9 @@ pub fn place_command(spec_text: &str, args: &PlaceArgs) -> Result<String, String
 
 /// `obm latency` — print the TC/TM arrays for a chip.
 pub fn latency_command(n: usize, controllers: &str) -> Result<String, String> {
+    if n == 0 {
+        return Err("--mesh: the mesh needs at least one tile per side".to_string());
+    }
     let mesh = Mesh::square(n);
     let mcs = match controllers {
         "corners" => MemoryControllers::corners(&mesh),
@@ -1585,5 +1588,9 @@ thread 5.0 0.7
         assert!(out.contains("TC(k)"));
         assert!(out.contains("TM(k)"));
         assert!(latency_command(4, "ring").is_err());
+        // A zero-sized mesh is a usage error, not a panic in Mesh::new.
+        let e = latency_command(0, "corners").unwrap_err();
+        assert!(e.contains("--mesh"), "{e}");
+        assert!(latency_command(1, "corners").unwrap().contains("1x1 mesh"));
     }
 }

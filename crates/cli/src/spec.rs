@@ -95,6 +95,9 @@ pub enum SpecError {
     NoApps,
     /// The last `app` block declared more threads than it provided.
     DanglingThreads { app: String, missing: usize },
+    /// Every thread of an application has zero cache and memory rate, so
+    /// its APL (latency ÷ request volume) is undefined.
+    ZeroVolumeApp { app: String },
     /// Thread counts total more than the chip has tiles.
     CapacityExceeded { threads: usize, tiles: usize },
     /// The `weights` line length does not match the app count.
@@ -114,6 +117,12 @@ impl std::fmt::Display for SpecError {
             SpecError::NoApps => write!(f, "no applications declared"),
             SpecError::DanglingThreads { app, missing } => {
                 write!(f, "app '{app}' still expects {missing} thread line(s)")
+            }
+            SpecError::ZeroVolumeApp { app } => {
+                write!(
+                    f,
+                    "app '{app}' has zero total request volume (every thread's rates are 0)"
+                )
             }
             SpecError::CapacityExceeded { threads, tiles } => {
                 write!(f, "{threads} threads exceed {tiles} tiles")
@@ -271,6 +280,16 @@ impl InstanceSpec {
         let (rows, cols) = mesh.ok_or(SpecError::MissingMesh)?;
         if apps.is_empty() {
             return Err(SpecError::NoApps);
+        }
+        // The instance divides each app's latency by its volume (the same
+        // sum `ObmInstance::new` checks), so reject a zero volume here.
+        if let Some(app) = apps
+            .iter()
+            .find(|a| a.threads.iter().map(|&(c, m)| c + m).sum::<f64>() <= 0.0)
+        {
+            return Err(SpecError::ZeroVolumeApp {
+                app: app.name.clone(),
+            });
         }
         let total: usize = apps.iter().map(|a| a.threads.len()).sum();
         if total > rows * cols {
@@ -521,6 +540,24 @@ weights 2 1
                 missing: 2
             }
         );
+    }
+
+    #[test]
+    fn zero_volume_app_rejected() {
+        // Two zero-rate threads: the app's APL would divide by zero.
+        let e = InstanceSpec::parse(
+            "mesh 2 2\napp busy 1\nthread 1 0.1\napp idle 2\nthread 0 0\nthread 0.0 0\n",
+        )
+        .unwrap_err();
+        assert_eq!(
+            e,
+            SpecError::ZeroVolumeApp {
+                app: "idle".to_string()
+            }
+        );
+        assert!(e.to_string().contains("'idle'"), "{e}");
+        // One positive rate anywhere in the app is enough.
+        assert!(InstanceSpec::parse("mesh 2 2\napp a 2\nthread 0 0\nthread 0 0.5\n").is_ok());
     }
 
     #[test]

@@ -86,6 +86,12 @@ impl HybridSssSa {
         seed: u64,
         token: &CancelToken,
     ) -> Option<Mapping> {
+        let n = inst.num_tiles();
+        if n < 2 {
+            // No two distinct tiles to swap: the SSS mapping is the only
+            // one (and the move redraw would never end).
+            return Some(init);
+        }
         let init_val = evaluate(inst, &init).max_apl;
         let mut ev = IncrementalEvaluator::new(inst, init.clone());
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5555_aaaa);
@@ -95,7 +101,6 @@ impl HybridSssSa {
         let t0 = (init_val * self.initial_temp_fraction).max(1e-9);
         let alpha = (1e-3f64).powf(1.0 / self.sa_iterations.max(1) as f64);
         let mut temp = t0;
-        let n = inst.num_tiles();
         for it in 0..self.sa_iterations {
             if it & CANCEL_POLL_MASK == 0 && token.is_cancelled() {
                 return None;
@@ -193,6 +198,21 @@ mod tests {
         assert_eq!(
             h.refine(&inst, init, 9, &CancelToken::never()),
             Some(h.map(&inst, 9))
+        );
+    }
+
+    #[test]
+    fn one_tile_chip_returns_the_sss_mapping() {
+        // A move needs two distinct tiles; with one, the refinement must
+        // return the SSS mapping instead of redrawing forever.
+        let tiles = TileLatencies::paper_default(&Mesh::square(1));
+        let inst = ObmInstance::new(tiles, vec![0, 1], vec![1.0], vec![0.1]);
+        let h = HybridSssSa::default();
+        assert_eq!(h.map(&inst, 9), Mapping::new(vec![TileId(0)]));
+        let init = h.sss.map(&inst, 9);
+        assert_eq!(
+            h.refine(&inst, init.clone(), 9, &CancelToken::never()),
+            Some(init)
         );
     }
 

@@ -147,6 +147,13 @@ impl Mapper for SimulatedAnnealing {
         }
         let mut rng = SmallRng::seed_from_u64(seed);
         let init = RandomMapper::draw(inst, &mut rng);
+        let num_tiles = inst.num_tiles();
+        if num_tiles < 2 {
+            // A move swaps two distinct tiles; with one tile there is none
+            // to draw (the redraw below would spin forever), and the start
+            // is the only mapping.
+            return Some(init);
+        }
         let mut ev = IncrementalEvaluator::new(inst, init);
         let mut cur = ev.max_apl();
         let mut best = cur;
@@ -157,7 +164,6 @@ impl Mapper for SimulatedAnnealing {
         // Geometric schedule hitting t_end exactly at the last iteration.
         let alpha = (t_end / t0).powf(1.0 / self.iterations as f64);
         let mut temp = t0;
-        let num_tiles = inst.num_tiles();
         let enabled = probe.is_enabled();
         let checkpoint = (self.iterations / SA_CHECKPOINTS).max(1);
         let mut accepted_since_last: u64 = 0;
@@ -393,5 +399,22 @@ mod tests {
         let inst = ObmInstance::new(tiles, vec![0, 5, 10], vec![1.0; 10], vec![0.1; 10]);
         let m = SimulatedAnnealing::with_iterations(2000).map(&inst, 0);
         assert!(m.is_valid_for(&inst));
+    }
+
+    /// One thread on a one-tile chip. A move needs two distinct tiles, so
+    /// the anneal must return its start instead of redrawing forever.
+    fn one_tile_instance() -> ObmInstance {
+        let tiles = TileLatencies::paper_default(&Mesh::square(1));
+        ObmInstance::new(tiles, vec![0, 1], vec![1.0], vec![0.1])
+    }
+
+    #[test]
+    fn one_tile_chip_returns_the_start_mapping() {
+        let inst = one_tile_instance();
+        let only = Mapping::new(vec![TileId(0)]);
+        let sa = SimulatedAnnealing::with_iterations(1000);
+        assert_eq!(sa.map(&inst, 3), only);
+        let restarts = SimulatedAnnealing { restarts: 3, ..sa };
+        assert_eq!(restarts.map(&inst, 3), only);
     }
 }

@@ -23,7 +23,7 @@ use crate::algorithms::{Mapper, PERMS4};
 use crate::cancel::CancelToken;
 use crate::eval::IncrementalEvaluator;
 use crate::problem::{Mapping, ObmInstance};
-use crate::sam::solve_sam;
+use crate::sam::{solve_sam_into, SamWorkspace};
 use noc_model::TileId;
 use noc_telemetry::{NoopSink, Probe, SolverEvent};
 use std::borrow::Cow;
@@ -98,46 +98,59 @@ impl Mapper for SortSelectSwap {
             self.window,
             IncrementalEvaluator::MAX_WINDOW
         );
+        let mut scratch = PassScratch::new(inst);
         // ---- Step 1: sort tiles by TC.
         if token.is_cancelled() {
             return None;
         }
-        let sorted = sorted_tiles(inst);
+        sort_tiles(inst, &mut scratch.sorted);
 
         // ---- Step 2: select + SAM per application (each SAM is O(N³), so
-        // poll between applications).
-        let mut assignment: Vec<Option<TileId>> = vec![None; inst.num_threads()];
-        let mut remaining = sorted.clone();
+        // poll between applications). Every thread gets a tile, so the
+        // placeholder tiles are all overwritten.
+        let mut assignment = vec![TileId(usize::MAX); inst.num_threads()];
+        scratch.remaining.clone_from(&scratch.sorted);
         for i in 0..inst.num_apps() {
             if token.is_cancelled() {
                 return None;
             }
-            let threads: Vec<usize> = inst.app_threads(i).collect();
-            let picked = select_sections(&remaining, threads.len(), self.selection);
-            let tiles: Vec<TileId> = picked.iter().map(|&idx| remaining[idx]).collect();
-            let sam = solve_sam(inst, &threads, &tiles);
-            for (t, &tile) in threads.iter().zip(&sam.assignment) {
-                assignment[*t] = Some(tile);
-            }
-            remove_indices(&mut remaining, &picked);
+            let range = inst.app_threads(i);
+            scratch.threads.clear();
+            scratch.threads.extend(range.clone());
+            select_sections(
+                scratch.remaining.len(),
+                range.len(),
+                self.selection,
+                &mut scratch.picked,
+            );
+            scratch.tiles.clear();
+            scratch
+                .tiles
+                .extend(scratch.picked.iter().map(|&idx| scratch.remaining[idx]));
+            solve_sam_into(
+                inst,
+                &scratch.threads,
+                &scratch.tiles,
+                &mut scratch.sam,
+                &mut assignment[range],
+            );
+            remove_indices(&mut scratch.remaining, &scratch.picked);
         }
-        let mapping = Mapping::new(
-            assignment
-                .into_iter()
-                .map(|t| t.expect("all threads assigned"))
-                .collect(),
-        );
+        let mapping = Mapping::try_new(assignment, inst.num_tiles())
+            .expect("SAM gives every thread a distinct tile");
 
         // ---- Step 3: greedy sliding-window swap.
         let mut ev = IncrementalEvaluator::new(inst, mapping);
         if self.window >= 2 {
             let enabled = probe.is_enabled();
+            let sorted = &scratch.sorted;
             let n = sorted.len();
             let perms = window_permutations(self.window);
             // row 0, the identity, is the current arrangement
             let candidates = &perms[self.window..];
             let max_step = self.max_step.unwrap_or(n / self.window).max(1);
-            let mut window_tiles = vec![TileId(0); self.window];
+            let mut window = [TileId(0); IncrementalEvaluator::MAX_WINDOW];
+            let window_tiles = &mut window[..self.window];
             for s in 1..=max_step {
                 let span = (self.window - 1) * s;
                 if span >= n {
@@ -151,7 +164,7 @@ impl Mapper for SortSelectSwap {
                     for (t, wt) in window_tiles.iter_mut().enumerate() {
                         *wt = sorted[start + t * s];
                     }
-                    let accepted = ev.best_window_permutation(&window_tiles, candidates);
+                    let accepted = ev.best_window_permutation(window_tiles, candidates);
                     if enabled {
                         if let Some((objective, delta)) = accepted {
                             probe.on_solver_event(&SolverEvent::SwapAccepted {
@@ -176,12 +189,20 @@ impl Mapper for SortSelectSwap {
                 if token.is_cancelled() {
                     return None;
                 }
-                let threads: Vec<usize> = inst.app_threads(i).collect();
-                let tiles: Vec<TileId> = threads.iter().map(|&j| mapping.tile_of(j)).collect();
-                let sam = solve_sam(inst, &threads, &tiles);
-                for (t, &tile) in threads.iter().zip(&sam.assignment) {
-                    mapping.set_tile(*t, tile);
-                }
+                let range = inst.app_threads(i);
+                scratch.threads.clear();
+                scratch.threads.extend(range.clone());
+                scratch.tiles.clear();
+                scratch
+                    .tiles
+                    .extend(range.clone().map(|j| mapping.tile_of(j)));
+                solve_sam_into(
+                    inst,
+                    &scratch.threads,
+                    &scratch.tiles,
+                    &mut scratch.sam,
+                    &mut mapping.tiles_mut()[range],
+                );
             }
             debug_assert!(mapping.is_valid_for(inst));
             Some(mapping)
@@ -191,36 +212,73 @@ impl Mapper for SortSelectSwap {
     }
 }
 
-/// Tiles sorted ascending by `TC(k)`, ties broken by index (deterministic).
-fn sorted_tiles(inst: &ObmInstance) -> Vec<TileId> {
-    let mut tiles: Vec<TileId> = (0..inst.num_tiles()).map(TileId).collect();
-    tiles.sort_by(|&a, &b| {
+/// One SSS pass's working memory. Built at the start of a pass and reused
+/// by every step of it, so the pass allocates a fixed handful of buffers
+/// however many applications and threads it places (DESIGN.md §13.7).
+struct PassScratch {
+    /// All tiles sorted ascending by `TC(k)` (step 1); the swap step
+    /// slides its windows over this list.
+    sorted: Vec<TileId>,
+    /// Sorted tiles no application has selected yet (step 2).
+    remaining: Vec<TileId>,
+    /// The current application's threads (global indices).
+    threads: Vec<usize>,
+    /// Indices into `remaining` selected for the current application.
+    picked: Vec<usize>,
+    /// The current application's candidate tiles for SAM.
+    tiles: Vec<TileId>,
+    /// Cost matrix and Hungarian buffers shared by every SAM solve.
+    sam: SamWorkspace,
+}
+
+impl PassScratch {
+    fn new(inst: &ObmInstance) -> Self {
+        let n = inst.num_tiles();
+        let widest = (0..inst.num_apps())
+            .map(|i| inst.app_threads(i).len())
+            .max()
+            .unwrap_or(0);
+        PassScratch {
+            sorted: Vec::with_capacity(n),
+            remaining: Vec::with_capacity(n),
+            threads: Vec::with_capacity(widest),
+            picked: Vec::with_capacity(widest),
+            tiles: Vec::with_capacity(widest),
+            sam: SamWorkspace::default(),
+        }
+    }
+}
+
+/// Fill `out` with the tiles sorted ascending by `TC(k)`, ties broken by
+/// index. The order is total, so the unstable (allocation-free) sort is
+/// deterministic.
+fn sort_tiles(inst: &ObmInstance, out: &mut Vec<TileId>) {
+    out.clear();
+    out.extend((0..inst.num_tiles()).map(TileId));
+    out.sort_unstable_by(|&a, &b| {
         inst.tiles()
             .tc(a)
             .partial_cmp(&inst.tiles().tc(b))
             .expect("finite TC")
             .then(a.index().cmp(&b.index()))
     });
-    tiles
 }
 
-/// Indices (into the remaining list) of the tile chosen from each of
-/// `sections` equal-length sections.
-fn select_sections(remaining: &[TileId], sections: usize, rule: SelectionRule) -> Vec<usize> {
-    let len = remaining.len();
+/// Fill `out` with the indices (into a remaining list of `len` tiles) of
+/// the tile chosen from each of `sections` equal-length sections.
+fn select_sections(len: usize, sections: usize, rule: SelectionRule, out: &mut Vec<usize>) {
     assert!(sections >= 1 && sections <= len);
-    (0..sections)
-        .map(|s| {
-            let start = s * len / sections;
-            let end = (s + 1) * len / sections;
-            debug_assert!(start < end);
-            match rule {
-                SelectionRule::Middle => (start + end - 1) / 2,
-                SelectionRule::First => start,
-                SelectionRule::Last => end - 1,
-            }
-        })
-        .collect()
+    out.clear();
+    out.extend((0..sections).map(|s| {
+        let start = s * len / sections;
+        let end = (s + 1) * len / sections;
+        debug_assert!(start < end);
+        match rule {
+            SelectionRule::Middle => (start + end - 1) / 2,
+            SelectionRule::First => start,
+            SelectionRule::Last => end - 1,
+        }
+    }));
 }
 
 /// Remove the (ascending) `indices` from `v`.
@@ -403,17 +461,17 @@ mod tests {
 
     #[test]
     fn select_sections_middle_of_16_into_16() {
-        let tiles: Vec<TileId> = (0..16).map(TileId).collect();
-        let idx = select_sections(&tiles, 16, SelectionRule::Middle);
+        let mut idx = Vec::new();
+        select_sections(16, 16, SelectionRule::Middle, &mut idx);
         assert_eq!(idx, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
     fn select_sections_middle_of_16_into_4() {
-        let tiles: Vec<TileId> = (0..16).map(TileId).collect();
         // Sections [0,4) [4,8) [8,12) [12,16); middles 1, 5, 9, 13
-        // ((start+end-1)/2 with integer floor).
-        let idx = select_sections(&tiles, 4, SelectionRule::Middle);
+        // ((start+end-1)/2 with integer floor). The buffer is reused.
+        let mut idx = vec![7; 16];
+        select_sections(16, 4, SelectionRule::Middle, &mut idx);
         assert_eq!(idx, vec![1, 5, 9, 13]);
     }
 

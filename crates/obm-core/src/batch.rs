@@ -84,24 +84,16 @@ impl EvalTables {
         let n = inst.num_threads();
         let k = inst.num_tiles();
         let a = inst.num_apps();
-        let tiles = inst.tiles();
-        let mut cost = Vec::with_capacity(n * k);
-        for j in 0..n {
-            for t in 0..k {
-                cost.push(inst.placement_cost(j, noc_model::TileId(t)));
-            }
-        }
         let mut app_of = vec![0u32; n];
         for i in 0..a {
             for j in inst.app_threads(i) {
                 app_of[j] = i as u32;
             }
         }
-        debug_assert_eq!(tiles.len(), k);
-        EvalTables {
+        let mut tables = EvalTables {
             num_threads: n,
             num_tiles: k,
-            cost,
+            cost: Vec::with_capacity(n * k),
             c: (0..n).map(|j| inst.cache_rate(j)).collect(),
             m: (0..n).map(|j| inst.mem_rate(j)).collect(),
             app_of,
@@ -109,6 +101,25 @@ impl EvalTables {
             volume: (0..a).map(|i| inst.app_volume(i)).collect(),
             inv_volume: (0..a).map(|i| inst.inv_app_volume(i)).collect(),
             weights: (0..a).map(|i| inst.app_weight(i)).collect(),
+        };
+        tables.refill_costs(inst.tiles());
+        tables
+    }
+
+    /// Recompute the cost matrix for the same threads on other tiles, in
+    /// place: `cost[j*K + k] = c_j·TC(k) + m_j·TM(k)`, the expression
+    /// `placement_cost` evaluates. Used by
+    /// [`ObmInstance::replace_tiles`].
+    pub(crate) fn refill_costs(&mut self, tiles: &noc_model::TileLatencies) {
+        self.num_tiles = tiles.len();
+        self.cost.clear();
+        self.cost.reserve(self.num_threads * self.num_tiles);
+        for j in 0..self.num_threads {
+            for t in 0..self.num_tiles {
+                let k = noc_model::TileId(t);
+                self.cost
+                    .push(self.c[j] * tiles.tc(k) + self.m[j] * tiles.tm(k));
+            }
         }
     }
 
@@ -183,6 +194,18 @@ impl EvalTables {
     #[inline]
     pub fn weight(&self, i: usize) -> f64 {
         self.weights[i]
+    }
+
+    /// Every application's request volume, in application order.
+    #[inline]
+    pub(crate) fn volumes(&self) -> &[f64] {
+        &self.volume
+    }
+
+    /// Every application's priority weight, in application order.
+    #[inline]
+    pub(crate) fn weights(&self) -> &[f64] {
+        &self.weights
     }
 }
 

@@ -75,6 +75,30 @@ pub(crate) fn summarize(inst: &ObmInstance, per_app: Vec<f64>, total_num: f64) -
     }
 }
 
+/// The min-max objective `max_i w_i·(num_i / volume_i)` over
+/// per-application latency numerators, volumes and weights (equal
+/// lengths), or −∞ for no applications. It is what
+/// [`IncrementalEvaluator::max_apl`] computes on every SSS window try and
+/// SA move.
+///
+/// A plain compare, as in [`evaluate`], rather than a fold over
+/// `f64::max`, whose NaN handling costs a fix-up per application. Both
+/// skip NaN and agree bit for bit on every input except which zero they
+/// return when the maximum is ±0, and a −0.0 APL cannot arise: numerators
+/// start as sums of non-negative costs (DESIGN.md §13.7).
+#[inline]
+pub fn weighted_max_apl(num: &[f64], volume: &[f64], weight: &[f64]) -> f64 {
+    debug_assert!(num.len() == volume.len() && num.len() == weight.len());
+    let mut max = f64::NEG_INFINITY;
+    for ((&n, &v), &w) in num.iter().zip(volume).zip(weight) {
+        let x = w * (n / v);
+        if x > max {
+            max = x;
+        }
+    }
+    max
+}
+
 /// Maintains per-application latency numerators for a mapping under
 /// incremental edits. All query methods are `O(A)` or better; all edits are
 /// `O(1)` per thread moved.
@@ -175,11 +199,10 @@ impl<'a> IncrementalEvaluator<'a> {
     }
 
     /// Current objective value `max_i w_i·d_i` (Eq. 6; plain max-APL for
-    /// unit weights).
+    /// unit weights): [`weighted_max_apl`] over the numerators.
+    #[inline]
     pub fn max_apl(&self) -> f64 {
-        (0..self.inst.num_apps())
-            .map(|i| self.inst.app_weight(i) * self.app_apl(i))
-            .fold(f64::NEG_INFINITY, f64::max)
+        weighted_max_apl(&self.app_num, self.tables.volumes(), self.tables.weights())
     }
 
     /// Sum of all applications' latency numerators (the g-APL numerator) —

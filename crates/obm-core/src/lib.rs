@@ -90,7 +90,7 @@ pub use batch::{BatchEvaluator, EvalTables};
 pub use bridge::{piecewise_traffic_spec, traffic_spec};
 pub use cancel::CancelToken;
 pub use dynamic::RemapOutcome;
-pub use eval::{evaluate, AplReport, IncrementalEvaluator};
+pub use eval::{evaluate, weighted_max_apl, AplReport, IncrementalEvaluator};
 pub use metrics::BalanceMetric;
 pub use objective::{
     migration_distance, refine_for_objective, threads_moved, Energy, MaxMinBalance,

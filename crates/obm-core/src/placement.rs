@@ -273,11 +273,12 @@ where
     // Counters are pre-resolved once so the per-candidate hot path is a
     // lock-free atomic add (or a never-taken branch when disabled).
     let mut search = Search {
-        inst,
+        induced: inst.clone(),
         mesh,
         opts,
         inner: &mut inner,
         memo: HashMap::new(),
+        key: Vec::with_capacity(k),
         evaluated: 0,
         c_candidates: opts.metrics.counter("placement_candidates_total"),
         c_memo_hits: opts.metrics.counter("placement_memo_hits_total"),
@@ -286,6 +287,7 @@ where
 
     let baseline_tiles = baseline_placement(mesh, k);
     let (baseline_mapping, baseline_objective) = search.score(&baseline_tiles)?;
+    let baseline_mapping = baseline_mapping.clone();
     let baseline_layout = search.layout(&baseline_tiles);
 
     let exhaustive = match opts.mode {
@@ -321,13 +323,19 @@ where
 
 /// Shared state of one `co_optimize` run.
 struct Search<'a, F> {
-    inst: &'a ObmInstance,
+    /// The caller's workload, moved onto each candidate layout in place
+    /// ([`ObmInstance::replace_tiles`]): threads, rates, weights and the
+    /// evaluation tables' workload columns are built once per search.
+    induced: ObmInstance,
     mesh: &'a Mesh,
     opts: &'a PlacementOptions,
     inner: &'a mut F,
     /// Solved score per placement (sorted tile-index key); annealing
     /// revisits states, and geometric duplicates share a canonical key.
     memo: HashMap<Vec<usize>, (Mapping, f64)>,
+    /// Lookup key of the placement being scored, reused across calls (a
+    /// memo hit allocates nothing).
+    key: Vec<usize>,
     evaluated: usize,
     /// Pre-resolved metric counters (inert when metrics are disabled).
     c_candidates: Counter,
@@ -347,39 +355,29 @@ where
     }
 
     /// Solve the instance induced by placing controllers on `tiles`
-    /// (memoized). Returns the mapping and objective.
-    fn score(&mut self, tiles: &[TileId]) -> Result<(Mapping, f64), PlacementSearchError> {
+    /// (memoized). Returns the memoized mapping and objective.
+    fn score(&mut self, tiles: &[TileId]) -> Result<(&Mapping, f64), PlacementSearchError> {
         self.c_candidates.inc();
-        let key: Vec<usize> = tiles.iter().map(|t| t.index()).collect();
-        if let Some((m, v)) = self.memo.get(&key) {
+        self.key.clear();
+        self.key.extend(tiles.iter().map(|t| t.index()));
+        if self.memo.contains_key(self.key.as_slice()) {
             self.c_memo_hits.inc();
-            return Ok((m.clone(), *v));
+        } else {
+            if self.opts.cancel.is_cancelled() {
+                return Err(PlacementSearchError::Cancelled);
+            }
+            let layout = self.layout(tiles);
+            self.induced
+                .replace_tiles(TileLatencies::for_layout(&layout, self.opts.params));
+            self.c_inner_solves.inc();
+            let span = self.opts.metrics.span("placement/inner_solve");
+            let solved = (self.inner)(&self.induced, self.opts.inner_seed);
+            drop(span);
+            self.evaluated += 1;
+            self.memo.insert(self.key.clone(), solved);
         }
-        if self.opts.cancel.is_cancelled() {
-            return Err(PlacementSearchError::Cancelled);
-        }
-        let layout = self.layout(tiles);
-        let lat = TileLatencies::for_layout(&layout, self.opts.params);
-        let c: Vec<f64> = (0..self.inst.num_threads())
-            .map(|j| self.inst.cache_rate(j))
-            .collect();
-        let m: Vec<f64> = (0..self.inst.num_threads())
-            .map(|j| self.inst.mem_rate(j))
-            .collect();
-        let mut induced = ObmInstance::new(lat, self.inst.boundaries().to_vec(), c, m);
-        if self.inst.is_weighted() {
-            let w: Vec<f64> = (0..self.inst.num_apps())
-                .map(|i| self.inst.app_weight(i))
-                .collect();
-            induced = induced.with_app_weights(w);
-        }
-        self.c_inner_solves.inc();
-        let span = self.opts.metrics.span("placement/inner_solve");
-        let (mapping, objective) = (self.inner)(&induced, self.opts.inner_seed);
-        drop(span);
-        self.evaluated += 1;
-        self.memo.insert(key, (mapping.clone(), objective));
-        Ok((mapping, objective))
+        let (mapping, objective) = &self.memo[self.key.as_slice()];
+        Ok((mapping, *objective))
     }
 
     /// Exhaustive outer loop over symmetry-reduced `k`-subsets, in
@@ -396,14 +394,17 @@ where
         let mut best = baseline_objective;
         let n = self.mesh.num_tiles();
         let mut combo: Vec<usize> = (0..k).collect();
+        let mut image = Vec::with_capacity(k);
+        let mut tiles = Vec::with_capacity(k);
         loop {
-            if is_canonical(&combo, &transforms) {
-                let tiles: Vec<TileId> = combo.iter().map(|&i| TileId(i)).collect();
+            if is_canonical(&combo, &transforms, &mut image) {
+                tiles.clear();
+                tiles.extend(combo.iter().map(|&i| TileId(i)));
                 let (mapping, objective) = self.score(&tiles)?;
                 if objective < best {
                     best = objective;
-                    best_tiles = tiles;
-                    best_mapping = Some(mapping);
+                    best_mapping = Some(mapping.clone());
+                    best_tiles.clone_from(&tiles);
                 }
             }
             if !next_combination(&mut combo, n) {
@@ -461,7 +462,7 @@ where
                 if cur < best {
                     best = cur;
                     best_tiles = state.clone();
-                    best_mapping = Some(mapping);
+                    best_mapping = Some(mapping.clone());
                 }
             }
             temp *= alpha;
@@ -538,13 +539,12 @@ fn symmetry_transforms(mesh: &Mesh) -> Vec<Vec<usize>> {
 }
 
 /// Whether the sorted index set `combo` is the lexicographically smallest
-/// member of its symmetry orbit.
-fn is_canonical(combo: &[usize], transforms: &[Vec<usize>]) -> bool {
-    let mut image = vec![0usize; combo.len()];
+/// member of its symmetry orbit. `image` is reused scratch for each
+/// transformed set.
+fn is_canonical(combo: &[usize], transforms: &[Vec<usize>], image: &mut Vec<usize>) -> bool {
     for perm in transforms {
-        for (dst, &src) in image.iter_mut().zip(combo) {
-            *dst = perm[src];
-        }
+        image.clear();
+        image.extend(combo.iter().map(|&src| perm[src]));
         image.sort_unstable();
         if image.as_slice() < combo {
             return false;
@@ -608,7 +608,10 @@ mod tests {
         // orbits: corner, edge, inner.
         let m = Mesh::square(4);
         let t = symmetry_transforms(&m);
-        let canon: Vec<usize> = (0..16).filter(|&i| is_canonical(&[i], &t)).collect();
+        let mut image = Vec::new();
+        let canon: Vec<usize> = (0..16)
+            .filter(|&i| is_canonical(&[i], &t, &mut image))
+            .collect();
         assert_eq!(canon, vec![0, 1, 5]);
     }
 

@@ -140,6 +140,28 @@ impl ObmInstance {
         self
     }
 
+    /// Move this workload onto another chip in place: swap in the latency
+    /// arrays `tiles`. Threads, rates, weights and volumes stay, so the result equals a fresh [`new`](Self::new) (and
+    /// [`with_app_weights`](Self::with_app_weights)) of the same workload
+    /// on `tiles`; built evaluation tables keep their workload columns and
+    /// recompute only the cost block. The placement search moves one
+    /// workload across every candidate layout this way.
+    ///
+    /// # Panics
+    /// Panics if `tiles` has fewer tiles than the instance has threads.
+    pub(crate) fn replace_tiles(&mut self, tiles: TileLatencies) {
+        assert!(
+            self.num_threads() <= tiles.len(),
+            "more threads ({}) than tiles ({})",
+            self.num_threads(),
+            tiles.len()
+        );
+        self.tiles = tiles;
+        if let Some(tables) = self.tables.get_mut() {
+            tables.refill_costs(&self.tiles);
+        }
+    }
+
     /// Priority weight of application `i`.
     #[inline]
     pub fn app_weight(&self, i: usize) -> f64 {
@@ -405,6 +427,14 @@ impl Mapping {
     #[inline]
     pub(crate) fn set_tile(&mut self, j: usize, tile: TileId) {
         self.thread_to_tile[j] = tile;
+    }
+
+    /// The assignment vector, writable without validity checking (for
+    /// solvers that rewrite a block of threads in place and maintain
+    /// injectivity themselves).
+    #[inline]
+    pub(crate) fn tiles_mut(&mut self) -> &mut [TileId] {
+        &mut self.thread_to_tile
     }
 
     /// Swap the tiles of threads `a` and `b`.

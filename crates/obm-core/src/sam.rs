@@ -9,7 +9,7 @@
 //! method in `O(N_a³)`.
 
 use crate::problem::ObmInstance;
-use assignment::CostMatrix;
+use assignment::{CostMatrix, Workspace};
 use noc_model::TileId;
 
 /// Result of a SAM solve.
@@ -23,6 +23,17 @@ pub struct SamSolution {
     pub apl: f64,
 }
 
+/// Reusable buffers for [`solve_sam_into`]: the Eq. (13) cost matrix,
+/// refilled per solve, and the Hungarian solver's workspace. One SSS pass
+/// keeps one, so its SAM solves allocate nothing after the first. The
+/// default is empty; the first solve allocates its buffers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SamWorkspace {
+    /// Built by the first solve, refilled in place by the rest.
+    costs: Option<CostMatrix>,
+    lap: Workspace,
+}
+
 /// Solve SAM for the threads `threads` (global thread indices, all from
 /// the same application in the intended use, though any thread set works)
 /// over candidate `tiles`. More tiles than threads is allowed — the
@@ -32,11 +43,36 @@ pub struct SamSolution {
 /// Panics if `threads.len() > tiles.len()`, if either is empty, or if the
 /// total request volume of the threads is zero.
 pub fn solve_sam(inst: &ObmInstance, threads: &[usize], tiles: &[TileId]) -> SamSolution {
+    let mut assignment = vec![TileId(0); threads.len()];
+    let apl = solve_sam_into(
+        inst,
+        threads,
+        tiles,
+        &mut SamWorkspace::default(),
+        &mut assignment,
+    );
+    SamSolution { assignment, apl }
+}
+
+/// [`solve_sam`] without allocating: the cost matrix and solver buffers
+/// live in `ws`, and `out[t]` receives the tile given to `threads[t]`.
+/// Returns the minimized APL. Bit-identical to [`solve_sam`].
+///
+/// # Panics
+/// As [`solve_sam`], and if `out.len() != threads.len()`.
+pub(crate) fn solve_sam_into(
+    inst: &ObmInstance,
+    threads: &[usize],
+    tiles: &[TileId],
+    ws: &mut SamWorkspace,
+    out: &mut [TileId],
+) -> f64 {
     assert!(
         threads.len() <= tiles.len(),
         "SAM needs at least as many tiles as threads"
     );
     assert!(!threads.is_empty(), "empty SAM instance");
+    assert_eq!(out.len(), threads.len(), "one output slot per thread");
     let volume: f64 = threads
         .iter()
         .map(|&j| inst.cache_rate(j) + inst.mem_rate(j))
@@ -45,16 +81,20 @@ pub fn solve_sam(inst: &ObmInstance, threads: &[usize], tiles: &[TileId]) -> Sam
     // Step 1: Eq. (13) cost matrix, read from the instance's precomputed
     // flat tables (bit-identical to `placement_cost`).
     let tables = inst.eval_tables();
-    let costs = CostMatrix::from_fn(threads.len(), tiles.len(), |r, cidx| {
-        tables.cost(threads[r], tiles[cidx].index())
-    });
+    let entry = |r: usize, cidx: usize| tables.cost(threads[r], tiles[cidx].index());
+    let costs = match &mut ws.costs {
+        Some(costs) => {
+            costs.refill(threads.len(), tiles.len(), entry);
+            costs
+        }
+        slot @ None => slot.insert(CostMatrix::from_fn(threads.len(), tiles.len(), entry)),
+    };
     // Step 2: Hungarian.
-    let sol = costs.solve();
-    let assignment: Vec<TileId> = sol.row_to_col.iter().map(|&cidx| tiles[cidx]).collect();
-    SamSolution {
-        assignment,
-        apl: sol.cost / volume,
+    let cost = ws.lap.solve(costs);
+    for (slot, &cidx) in out.iter_mut().zip(ws.lap.row_to_col()) {
+        *slot = tiles[cidx];
     }
+    cost / volume
 }
 
 #[cfg(test)]
@@ -151,6 +191,28 @@ mod tests {
         // and no worse than restricting to exactly two tiles
         let restricted = solve_sam(&inst, &[2, 3], &tiles[..2]);
         assert!(sol.apl <= restricted.apl + 1e-12);
+    }
+
+    #[test]
+    fn reused_workspace_matches_solve_sam() {
+        // One workspace across shrinking and growing SAM instances gives
+        // the bits a fresh `solve_sam` gives.
+        let inst = instance_4x4();
+        let mut ws = SamWorkspace::default();
+        let cases: [(&[usize], &[usize]); 4] = [
+            (&[0, 1, 2, 3], &[0, 5, 10, 15]),
+            (&[2, 3], &[1, 6, 11, 4, 9]),
+            (&[4, 5, 6, 7, 8, 9], &[0, 1, 2, 3, 12, 13, 14, 15]),
+            (&[7], &[8]),
+        ];
+        for (threads, tiles) in cases {
+            let tiles: Vec<TileId> = tiles.iter().map(|&k| TileId(k)).collect();
+            let fresh = solve_sam(&inst, threads, &tiles);
+            let mut out = vec![TileId(usize::MAX); threads.len()];
+            let apl = solve_sam_into(&inst, threads, &tiles, &mut ws, &mut out);
+            assert_eq!(out, fresh.assignment);
+            assert_eq!(apl.to_bits(), fresh.apl.to_bits());
+        }
     }
 
     #[test]

@@ -31,7 +31,9 @@
 #                         float gen_bool test on boundary words, the
 #                         online-remap controller's pinned decision
 #                         sequence, the placement search's pinned
-#                         exhaustive win + TM-vs-simulator agreement,
+#                         exhaustive win + TM-vs-simulator agreement
+#                         and the allocation budgets of one SSS pass
+#                         and one 4×4 placement candidate,
 #                         the simulation bridge every experiment
 #                         shares (probed ≡ plain, observed runs
 #                         reconcile with their report),
@@ -60,7 +62,11 @@
 #                         byte-determinism across two same-seed runs
 #                         under OBM_METRICS_CLOCK=logical; the removed
 #                         `experiments --shards` option must exit 2
-#                         with a usage error, not panic or run
+#                         with a usage error, not panic or run;
+#                         robustness smoke: `obm solve` on a one-tile
+#                         chip finishes under `timeout 20`, and a spec
+#                         with a zero-volume app and `obm latency
+#                         --mesh 0` exit 2
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
 #                         one of its mappings gets a repeated tile, and
 #                         `obm solve --resume` must exit 0, re-running
@@ -197,6 +203,10 @@ echo "==> placement determinism suite (release)"
 # fixed seed, and the analytic-vs-simulator TM agreement for arbitrary
 # layouts — must hold under release codegen too.
 cargo test -q --release --test placement
+# The allocation budgets of one SSS pass and of one exhaustive 4×4
+# placement candidate (DESIGN.md §13.7), counted by a global allocator;
+# the release figures are the ones users' builds run.
+cargo test -q --release --test alloc_budget
 
 echo "==> metrics purity suite (release)"
 # The noc-metrics registry's contract — metrics-on runs bit-identical to
@@ -307,6 +317,34 @@ grep -q "^usage: experiments" "$smokedir/shards.err" \
 [[ ! -s "$smokedir/shards.out" ]] \
     || { echo "experiments --shards 2 ran an experiment"; exit 1; }
 echo "--> usage: --shards exits 2 with the usage line"
+
+echo "==> CLI robustness smoke: degenerate inputs end or exit 2"
+# A one-tile chip leaves SA no pair of tiles to swap; the default race
+# (SA and SSS+SA included) must still finish. A spec whose app has only
+# zero-rate threads and a zero-sized latency grid are usage errors
+# (exit 2), not panics (exit 101).
+printf 'mesh 1 1\napp solo 1\nthread 1.0 0.1\n' > "$smokedir/one.spec"
+timeout 20 "$obm" solve "$smokedir/one.spec" > "$smokedir/one.txt" \
+    || { echo "obm solve on a one-tile chip did not finish in 20 s (exit $?)"; exit 1; }
+grep -q "termination: completed" "$smokedir/one.txt" \
+    || { echo "obm solve on a one-tile chip did not complete its race"; exit 1; }
+printf 'mesh 2 2\napp busy 1\nthread 1 0.1\napp idle 2\nthread 0 0\nthread 0 0\n' \
+    > "$smokedir/zero.spec"
+expect_exit_2() {
+    local what=$1
+    shift
+    set +e
+    "$@" >/dev/null 2>"$smokedir/usage.err"
+    local status=$?
+    set -e
+    [[ "$status" -eq 2 ]] \
+        || { echo "$what exited $status, expected 2"; cat "$smokedir/usage.err"; exit 1; }
+}
+expect_exit_2 "obm solve on a zero-volume app" "$obm" solve "$smokedir/zero.spec"
+grep -q "'idle'" "$smokedir/usage.err" \
+    || { echo "zero-volume error does not name the app"; exit 1; }
+expect_exit_2 "obm latency --mesh 0" "$obm" latency --mesh 0
+echo "--> robustness: one-tile solve finished, zero-volume spec and --mesh 0 exit 2"
 
 echo "==> CLI resume smoke: a damaged checkpoint entry is re-run"
 # A checkpoint mapping that repeats a tile must be rejected entry by

@@ -17,12 +17,22 @@
 //! - The annealers' `metropolis_accept`, which skips `exp` deep in the
 //!   tail, against the expression it replaced, on fixed RNG words at the
 //!   decision boundary: same decision, same number of draws.
+//! - One Hungarian `Workspace` reused across solves (and one refilled
+//!   `CostMatrix`) against a fresh `CostMatrix::solve` per matrix, on
+//!   random and tie-heavy matrices whose size changes between calls:
+//!   same assignment, same cost bits.
+//! - The objective fold `weighted_max_apl` (a plain compare) against the
+//!   `f64::max` fold it replaced, on numerators including 0, ±∞ and NaN,
+//!   and `IncrementalEvaluator::max_apl` against that fold over its own
+//!   per-application APLs.
 
+use obm::lap::{CostMatrix, Workspace};
 use obm::mapping::algorithms::{
     metropolis_accept, BranchAndBound, BruteForce, Mapper, RandomMapper,
 };
 use obm::mapping::{
-    evaluate, CancelToken, IncrementalEvaluator, Mapping, ObjectiveSpec, ObmInstance,
+    evaluate, weighted_max_apl, CancelToken, IncrementalEvaluator, Mapping, ObjectiveSpec,
+    ObmInstance,
 };
 use obm::model::{
     ChipLayout, Coord, LatencyParams, MemoryControllers, Mesh, PlacementError, TileId,
@@ -507,5 +517,126 @@ fn metropolis_tail_shortcut_matches_the_reference() {
         let temp = 10f64.powf(rng.gen_range(-12.0..6.0));
         let delta = temp * rng.gen_range(0.0..60.0);
         check_metropolis(delta, temp);
+    }
+}
+
+#[test]
+fn reused_workspace_matches_fresh_solves() {
+    let mut rng = SmallRng::seed_from_u64(0x4c41_5021);
+    let mut ws = Workspace::new();
+    let mut kept = CostMatrix::zeros(1, 1);
+    for trial in 0..4_000 {
+        // 1–8 rows, up to 3 spare columns; the shape changes every call,
+        // growing and shrinking the workspace's buffers.
+        let rows = rng.gen_range(1..=8);
+        let cols = rows + rng.gen_range(0..=3);
+        // Half the matrices draw from {0, 1, 2, 3}: many tied optima,
+        // where any state leaking between solves would pick another one.
+        let ties = trial % 2 == 0;
+        let mut entry = |_: usize, _: usize| {
+            if ties {
+                f64::from(rng.gen_range(0u8..4))
+            } else {
+                rng.gen_range(-50.0..50.0)
+            }
+        };
+        let m = if trial % 3 == 0 {
+            kept.refill(rows, cols, &mut entry);
+            kept.clone()
+        } else {
+            CostMatrix::from_fn(rows, cols, &mut entry)
+        };
+        let fresh = m.solve();
+        let cost = ws.solve(&m);
+        assert_eq!(
+            ws.row_to_col(),
+            fresh.row_to_col.as_slice(),
+            "trial {trial}: {rows}x{cols}"
+        );
+        assert_eq!(
+            cost.to_bits(),
+            fresh.cost.to_bits(),
+            "trial {trial}: {rows}x{cols}"
+        );
+    }
+}
+
+/// The objective as it was computed before the plain-compare fold.
+fn max_fold(num: &[f64], volume: &[f64], weight: &[f64]) -> f64 {
+    num.iter()
+        .zip(volume)
+        .zip(weight)
+        .map(|((&n, &v), &w)| w * (n / v))
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+#[test]
+fn weighted_max_apl_matches_the_f64_max_fold() {
+    let specials = [0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut rng = SmallRng::seed_from_u64(0x6d61_7861);
+    for trial in 0..50_000 {
+        let apps = rng.gen_range(0..=8);
+        let num: Vec<f64> = (0..apps)
+            .map(|_| {
+                if rng.gen_range(0..3) == 0 {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-1e3..1e3)
+                }
+            })
+            .collect();
+        let volume: Vec<f64> = (0..apps).map(|_| rng.gen_range(0.01..100.0)).collect();
+        let weight: Vec<f64> = (0..apps)
+            .map(|_| {
+                if trial % 2 == 0 {
+                    1.0
+                } else {
+                    rng.gen_range(0.25..4.0)
+                }
+            })
+            .collect();
+        assert_eq!(
+            weighted_max_apl(&num, &volume, &weight).to_bits(),
+            max_fold(&num, &volume, &weight).to_bits(),
+            "numerators {num:?}"
+        );
+    }
+    // All-NaN and empty inputs fold to −∞ either way.
+    assert_eq!(
+        weighted_max_apl(&[f64::NAN; 3], &[1.0; 3], &[1.0; 3]),
+        f64::NEG_INFINITY
+    );
+    assert_eq!(weighted_max_apl(&[], &[], &[]), f64::NEG_INFINITY);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The evaluator's objective equals the `f64::max` fold over its own
+    /// per-application APLs after every move of a random walk, with unit
+    /// and with non-unit weights.
+    #[test]
+    fn evaluator_max_apl_matches_the_f64_max_fold(
+        inst in arb_small_instance(),
+        weighted in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let inst = if weighted {
+            inst.clone().with_app_weights(random_weights(inst.num_apps(), seed))
+        } else {
+            inst
+        };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ev = IncrementalEvaluator::new(&inst, RandomMapper.map(&inst, seed));
+        let apps = inst.num_apps();
+        let weight: Vec<f64> = (0..apps).map(|i| inst.app_weight(i)).collect();
+        for _ in 0..50 {
+            let a = TileId(rng.gen_range(0..inst.num_tiles()));
+            let b = TileId(rng.gen_range(0..inst.num_tiles()));
+            ev.swap_tiles(a, b);
+            let apl: Vec<f64> = (0..apps).map(|i| ev.app_apl(i)).collect();
+            let want = max_fold(&apl, &vec![1.0; apps], &weight);
+            prop_assert_eq!(ev.max_apl().to_bits(), want.to_bits());
+        }
     }
 }
