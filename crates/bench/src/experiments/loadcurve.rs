@@ -68,7 +68,7 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
         &[4.0, 16.0, 48.0]
     } else {
         // 0.25 is the near-idle anchor where the geometric fast path's
-        // event-horizon skipping dominates (cf. `benches/noc_sim.rs`).
+        // event-horizon skipping dominates (cf. perfbench's `sim_paper`).
         &[0.25, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0]
     };
     let mut t = MarkdownTable::new(vec![

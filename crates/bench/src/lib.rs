@@ -1,7 +1,7 @@
 //! Experiment harness for the IPDPS'14 OBM reproduction: regenerates every
 //! table and figure of the paper's evaluation (run
-//! `cargo run --release -p obm-bench --bin experiments -- all`) and hosts
-//! the criterion benchmarks.
+//! `cargo run --release -p obm-bench --bin experiments -- all`).
+//! Performance is benchmarked by `perfbench/`, outside the workspace.
 
 #![forbid(unsafe_code)]
 

@@ -625,6 +625,12 @@ pub fn exact_command(spec_text: &str, node_budget: u64) -> Result<String, String
     };
     let r = solver.solve_budgeted(&inst, &obm_core::CancelToken::never(), None);
     let sss = obm_core::evaluate(&inst, &SortSelectSwap::default().map(&inst, 0)).max_apl;
+    // A zero objective (a one-tile chip) has no relative gap to report.
+    let gap = if r.objective > 0.0 {
+        format!("{:+.3}%", (sss / r.objective - 1.0) * 100.0)
+    } else {
+        format!("{:+.6}", sss - r.objective)
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "{} after {} nodes: objective {:.6}
@@ -638,10 +644,9 @@ pub fn exact_command(spec_text: &str, node_budget: u64) -> Result<String, String
         r.objective
     ));
     out.push_str(&format!(
-        "SSS heuristic: {:.6} ({:+.3}% vs {})
+        "SSS heuristic: {:.6} ({gap} vs {})
 ",
         sss,
-        (sss / r.objective - 1.0) * 100.0,
         if r.proven_optimal {
             "optimum"
         } else {
@@ -1369,6 +1374,18 @@ thread 5.0 0.7
         let out = exact_command(spec, 1_000_000).unwrap();
         assert!(out.contains("PROVEN OPTIMAL"), "{out}");
         assert!(out.contains("SSS heuristic"));
+    }
+
+    #[test]
+    fn exact_on_a_one_tile_chip_prints_finite_numbers() {
+        let out = exact_command("mesh 1 1\napp solo 1\nthread 1.0 0.1\n", 1000).unwrap();
+        assert!(out.contains("PROVEN OPTIMAL"), "{out}");
+        assert!(
+            out.contains("SSS heuristic: 0.000000 (+0.000000 vs optimum)"),
+            "{out}"
+        );
+        let lower = out.to_lowercase();
+        assert!(!lower.contains("nan") && !lower.contains("inf"), "{out}");
     }
 
     #[test]

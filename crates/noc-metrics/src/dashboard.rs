@@ -61,14 +61,6 @@ impl MetricsSnapshot {
                 h.max().unwrap_or(0)
             ));
         }
-        for (name, f) in &self.fixed {
-            groups.entry(subsystem(name)).or_default().push(format!(
-                "  {name:<44} n={} sum={} buckets={}",
-                f.total(),
-                f.sum,
-                f.counts.len()
-            ));
-        }
         for (sub, lines) in groups {
             out.push_str(&format!("\n[{sub}]\n"));
             for l in lines {

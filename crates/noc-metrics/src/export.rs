@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use noc_telemetry::json::Value;
 use noc_telemetry::LatencyHistogram;
 
-use crate::snapshot::{FixedSnapshot, MetricsSnapshot, SnapshotError, SpanSnapshot};
+use crate::snapshot::{MetricsSnapshot, SnapshotError, SpanSnapshot};
 
 /// Quantiles the Prometheus summary view reports for exact histograms.
 const SUMMARY_QUANTILES: [f64; 3] = [0.5, 0.9, 0.99];
@@ -50,20 +50,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("{name}_count {}\n", h.total()));
             let pairs: Vec<String> = h.iter().map(|(v, c)| format!("{v}:{c}")).collect();
             out.push_str(&format!("# obm-exact {name} {}\n", pairs.join(",")));
-        }
-        for (name, f) in &self.fixed {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cum = 0u64;
-            for (i, b) in f.bounds.iter().enumerate() {
-                cum += f.counts[i];
-                out.push_str(&format!("{name}_bucket{{le=\"{b}\"}} {cum}\n"));
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"+Inf\"}} {}\n{name}_sum {}\n{name}_count {}\n",
-                f.total(),
-                f.sum,
-                f.total()
-            ));
         }
         if !self.spans.is_empty() {
             out.push_str("# TYPE obm_span_nanos summary\n");
@@ -120,25 +106,6 @@ impl MetricsSnapshot {
                     ("kind", Value::from("exact")),
                     ("name", Value::from(name.as_str())),
                     ("pairs", Value::Arr(pairs)),
-                ])
-                .to_string(),
-            );
-            out.push('\n');
-        }
-        for (name, f) in &self.fixed {
-            out.push_str(
-                &Value::obj([
-                    ("kind", Value::from("fixed")),
-                    ("name", Value::from(name.as_str())),
-                    (
-                        "bounds",
-                        Value::Arr(f.bounds.iter().map(|&b| Value::from(b)).collect()),
-                    ),
-                    (
-                        "counts",
-                        Value::Arr(f.counts.iter().map(|&c| Value::from(c)).collect()),
-                    ),
-                    ("sum", Value::from(f.sum)),
                 ])
                 .to_string(),
             );
@@ -215,33 +182,6 @@ impl MetricsSnapshot {
                     }
                     snap.exact.insert(name, h);
                 }
-                "fixed" => {
-                    let arr_u64 = |field: &str| -> Result<Vec<u64>, SnapshotError> {
-                        v.get(field)
-                            .and_then(Value::as_arr)
-                            .ok_or_else(|| bad(field))?
-                            .iter()
-                            .map(|x| x.as_u64().ok_or_else(|| bad(field)))
-                            .collect()
-                    };
-                    let bounds = arr_u64("bounds")?;
-                    let counts = arr_u64("counts")?;
-                    if counts.len() != bounds.len() + 1 {
-                        return Err(bad("counts"));
-                    }
-                    let sum = v
-                        .get("sum")
-                        .and_then(Value::as_u64)
-                        .ok_or_else(|| bad("sum"))?;
-                    snap.fixed.insert(
-                        name,
-                        FixedSnapshot {
-                            bounds,
-                            counts,
-                            sum,
-                        },
-                    );
-                }
                 "span" => {
                     let field = |f: &str| v.get(f).and_then(Value::as_u64);
                     let (count, total, max) =
@@ -265,14 +205,12 @@ impl MetricsSnapshot {
     }
 
     /// Parse the Prometheus text form back into a snapshot. Counters,
-    /// gauges, fixed-bucket histograms and spans reconstruct exactly;
-    /// exact histograms reconstruct from their `# obm-exact` comment
-    /// lines (foreign summaries without one are skipped).
+    /// gauges and spans reconstruct exactly; exact histograms
+    /// reconstruct from their `# obm-exact` comment lines. Foreign
+    /// summaries without one and foreign histograms are skipped.
     pub fn from_prometheus(text: &str) -> Result<MetricsSnapshot, SnapshotError> {
         let mut snap = MetricsSnapshot::default();
         let mut types: BTreeMap<String, String> = BTreeMap::new();
-        // name -> (le, cumulative) pairs, in emission order
-        let mut buckets: BTreeMap<String, Vec<(Option<u64>, u64)>> = BTreeMap::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             let err = |msg: &str| SnapshotError(format!("line {}: {msg}: {line}", lineno + 1));
@@ -330,45 +268,11 @@ impl MetricsSnapshot {
                 }
                 continue;
             }
-            // Fixed-histogram series.
-            if let Some(base) = name.strip_suffix("_bucket") {
-                if types.get(base).map(String::as_str) == Some("histogram") {
-                    let le = label
-                        .as_deref()
-                        .and_then(|l| l.strip_prefix("le\u{0}"))
-                        .ok_or_else(|| err("bucket without le label"))?;
-                    let bound = if le == "+Inf" {
-                        None
-                    } else {
-                        Some(le.parse::<u64>().map_err(|_| err("bad le bound"))?)
-                    };
-                    buckets
-                        .entry(base.to_string())
-                        .or_default()
-                        .push((bound, uval));
-                    continue;
-                }
-            }
-            if let Some(base) = name.strip_suffix("_sum") {
-                match types.get(base).map(String::as_str) {
-                    Some("histogram") => {
-                        snap.fixed.entry(base.to_string()).or_default().sum = uval;
-                        continue;
-                    }
-                    Some("summary") => continue, // exact sum is derivable
-                    _ => {}
-                }
-            }
-            if let Some(base) = name.strip_suffix("_count") {
-                if matches!(
-                    types.get(base).map(String::as_str),
-                    Some("histogram" | "summary")
-                ) {
-                    continue; // derivable from buckets/pairs
-                }
-            }
+            // Only series typed under their own name are kept: a
+            // summary's or histogram's `_sum`, `_count`, quantiles and
+            // buckets are skipped (our summaries' pairs came in above).
             if label.is_some() {
-                continue; // quantile series of a summary
+                continue;
             }
             match types.get(name).map(String::as_str) {
                 Some("counter") => {
@@ -379,26 +283,6 @@ impl MetricsSnapshot {
                 }
                 _ => {}
             }
-        }
-        for (name, series) in buckets {
-            let f = snap.fixed.entry(name).or_default();
-            let mut bounds = Vec::new();
-            let mut counts = Vec::new();
-            let mut prev = 0u64;
-            let mut total = None;
-            for (bound, cum) in series {
-                match bound {
-                    Some(b) => {
-                        bounds.push(b);
-                        counts.push(cum.saturating_sub(prev));
-                        prev = cum;
-                    }
-                    None => total = Some(cum),
-                }
-            }
-            counts.push(total.unwrap_or(prev).saturating_sub(prev));
-            f.bounds = bounds;
-            f.counts = counts;
         }
         Ok(snap)
     }
@@ -419,32 +303,53 @@ mod tests {
         h.observe("remap_migrated_threads", 3);
         h.observe("remap_migrated_threads", 3);
         h.observe("remap_migrated_threads", 5);
-        let fh = h.fixed_histogram("placement_inner_evals", &[10, 100, 1000]);
-        fh.observe(7);
-        fh.observe(70);
-        fh.observe(7000);
         h.record_span("portfolio/task/SSS", 1, 0, 0);
         h.record_span("sim/shard/barrier", 10_000, 0, 0);
         reg.snapshot()
     }
 
+    /// A `fixed`-kind line, which this crate does not write; parsers
+    /// skip it like any unknown kind.
+    const FOREIGN_JSON: &str = "{\"kind\":\"fixed\",\"name\":\"placement_inner_evals\",\
+        \"bounds\":[10,100],\"counts\":[1,1,1],\"sum\":7077}\n";
+
+    /// A histogram family from another exporter; parsers skip it.
+    const FOREIGN_PROM: &str = "# TYPE placement_inner_evals histogram\n\
+        placement_inner_evals_bucket{le=\"10\"} 1\n\
+        placement_inner_evals_bucket{le=\"100\"} 2\n\
+        placement_inner_evals_bucket{le=\"+Inf\"} 3\n\
+        placement_inner_evals_sum 7077\n\
+        placement_inner_evals_count 3\n";
+
     #[test]
     fn json_lines_round_trip_is_lossless() {
         let snap = sample();
         let text = snap.to_json_lines();
-        let back = MetricsSnapshot::from_json_lines(&text).expect("parse");
-        assert_eq!(back, snap);
-        // and deterministic
-        assert_eq!(text, back.to_json_lines());
+        for input in [
+            text.clone(),
+            format!("{FOREIGN_JSON}{text}"),
+            format!("{text}{FOREIGN_JSON}"),
+        ] {
+            let back = MetricsSnapshot::from_json_lines(&input).expect("parse");
+            assert_eq!(back, snap, "{input}");
+            // and deterministic
+            assert_eq!(text, back.to_json_lines());
+        }
     }
 
     #[test]
     fn prometheus_round_trip_is_lossless() {
         let snap = sample();
         let text = snap.to_prometheus();
-        let back = MetricsSnapshot::from_prometheus(&text).expect("parse");
-        assert_eq!(back, snap);
-        assert_eq!(text, back.to_prometheus());
+        for input in [
+            text.clone(),
+            format!("{FOREIGN_PROM}{text}"),
+            format!("{text}{FOREIGN_PROM}"),
+        ] {
+            let back = MetricsSnapshot::from_prometheus(&input).expect("parse");
+            assert_eq!(back, snap, "{input}");
+            assert_eq!(text, back.to_prometheus());
+        }
     }
 
     #[test]
@@ -457,8 +362,6 @@ mod tests {
         assert!(text.contains("# TYPE remap_migrated_threads summary"));
         assert!(text.contains("remap_migrated_threads{quantile=\"0.5\"} 3"));
         assert!(text.contains("remap_migrated_threads_count 3"));
-        assert!(text.contains("placement_inner_evals_bucket{le=\"100\"} 2"));
-        assert!(text.contains("placement_inner_evals_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("obm_span_nanos_count{span=\"sim/shard/barrier\"} 10000"));
     }
 

@@ -13,9 +13,9 @@
 //!
 //! * **counters** — monotonic `u64`, lock-free (`AtomicU64`, relaxed);
 //! * **gauges** — last-written `f64` (stored as bits in an `AtomicU64`);
-//! * **histograms** — a lock-free fixed-bucket form for hot paths, and
-//!   an exact nearest-rank form reusing
-//!   [`noc_telemetry::histogram::LatencyHistogram`] for cold paths;
+//! * **histograms** — exact nearest-rank, reusing
+//!   [`noc_telemetry::histogram::LatencyHistogram`] and recorded through
+//!   [`MetricsHandle::observe`] (mutex-guarded, so cold paths only);
 //! * **spans** — hierarchical wall-clock timings. A span's identity is
 //!   its `/`-separated path ("portfolio/task/SA-s1"); the parent link is
 //!   the path prefix, and observations aggregate per path (count, total,
@@ -45,8 +45,5 @@ mod export;
 mod registry;
 mod snapshot;
 
-pub use registry::{
-    ClockMode, Counter, ExactHistogram, FixedHistogram, Gauge, MetricsHandle, MetricsRegistry,
-    SpanGuard,
-};
-pub use snapshot::{span_parent, FixedSnapshot, MetricsSnapshot, SnapshotError, SpanSnapshot};
+pub use registry::{ClockMode, Counter, Gauge, MetricsHandle, MetricsRegistry, SpanGuard};
+pub use snapshot::{span_parent, MetricsSnapshot, SnapshotError, SpanSnapshot};

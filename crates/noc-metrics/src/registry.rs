@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use noc_telemetry::LatencyHistogram;
 
-use crate::snapshot::{FixedSnapshot, MetricsSnapshot, SpanSnapshot};
+use crate::snapshot::{MetricsSnapshot, SpanSnapshot};
 
 /// What span durations and wall-derived gauges record.
 ///
@@ -57,41 +57,12 @@ impl SpanCell {
     }
 }
 
-/// Storage for one fixed-bucket histogram: `counts[i]` holds values
-/// `≤ bounds[i]`, the last slot is the overflow bucket.
-pub(crate) struct FixedCell {
-    bounds: Vec<u64>,
-    counts: Vec<AtomicU64>,
-    sum: AtomicU64,
-}
-
-impl FixedCell {
-    fn new(bounds: &[u64]) -> FixedCell {
-        let mut b: Vec<u64> = bounds.to_vec();
-        b.sort_unstable();
-        b.dedup();
-        let counts = (0..=b.len()).map(|_| AtomicU64::new(0)).collect();
-        FixedCell {
-            bounds: b,
-            counts,
-            sum: AtomicU64::new(0),
-        }
-    }
-
-    fn observe(&self, value: u64) {
-        let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-    }
-}
-
 #[derive(Default)]
 struct Inner {
     clock: ClockMode,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     exact: Mutex<BTreeMap<String, Arc<Mutex<LatencyHistogram>>>>,
-    fixed: Mutex<BTreeMap<String, Arc<FixedCell>>>,
     spans: Mutex<BTreeMap<String, Arc<SpanCell>>>,
 }
 
@@ -164,18 +135,6 @@ impl MetricsRegistry {
         }
     }
 
-    fn fixed_cell(&self, name: &str, bounds: &[u64]) -> Arc<FixedCell> {
-        let mut m = lock(&self.inner.fixed);
-        match m.get(name) {
-            Some(c) => Arc::clone(c),
-            None => {
-                let c = Arc::new(FixedCell::new(bounds));
-                m.insert(name.to_string(), Arc::clone(&c));
-                c
-            }
-        }
-    }
-
     fn span_cell(&self, path: &str) -> Arc<SpanCell> {
         let mut m = lock(&self.inner.spans);
         match m.get(path) {
@@ -202,19 +161,6 @@ impl MetricsRegistry {
             .iter()
             .map(|(k, v)| (k.clone(), lock(v).clone()))
             .collect();
-        let fixed = lock(&self.inner.fixed)
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    FixedSnapshot {
-                        bounds: v.bounds.clone(),
-                        counts: v.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                        sum: v.sum.load(Ordering::Relaxed),
-                    },
-                )
-            })
-            .collect();
         let spans = lock(&self.inner.spans)
             .iter()
             .map(|(k, v)| {
@@ -232,7 +178,6 @@ impl MetricsRegistry {
             counters,
             gauges,
             exact,
-            fixed,
             spans,
         }
     }
@@ -287,19 +232,6 @@ impl MetricsHandle {
     /// Pre-resolve a gauge.
     pub fn gauge(&self, name: &str) -> Gauge {
         Gauge(self.0.as_ref().map(|r| r.gauge_cell(name)))
-    }
-
-    /// Pre-resolve an exact nearest-rank histogram.
-    pub fn exact_histogram(&self, name: &str) -> ExactHistogram {
-        ExactHistogram(self.0.as_ref().map(|r| r.exact_cell(name)))
-    }
-
-    /// Pre-resolve a fixed-bucket histogram. `bounds` are inclusive
-    /// bucket upper bounds (sorted and deduplicated internally); values
-    /// above the last bound land in an implicit overflow bucket. The
-    /// first registration of a name wins its bounds.
-    pub fn fixed_histogram(&self, name: &str, bounds: &[u64]) -> FixedHistogram {
-        FixedHistogram(self.0.as_ref().map(|r| r.fixed_cell(name, bounds)))
     }
 
     /// Open a span at `path`. The returned guard records one observation
@@ -361,7 +293,8 @@ impl MetricsHandle {
         }
     }
 
-    /// Cold-path exact-histogram observation.
+    /// Record one observation in the exact nearest-rank histogram `name`
+    /// (mutex-guarded, so keep it off per-cycle paths).
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(r) = &self.0 {
             lock(&r.exact_cell(name)).record(value);
@@ -439,34 +372,6 @@ impl Gauge {
     }
 }
 
-/// Pre-resolved exact nearest-rank histogram (sparse; mutex-guarded, so
-/// keep it off per-cycle paths).
-#[derive(Clone, Default)]
-pub struct ExactHistogram(Option<Arc<Mutex<LatencyHistogram>>>);
-
-impl ExactHistogram {
-    /// Record one observation.
-    pub fn observe(&self, value: u64) {
-        if let Some(h) = &self.0 {
-            lock(h).record(value);
-        }
-    }
-}
-
-/// Pre-resolved fixed-bucket histogram (lock-free).
-#[derive(Clone, Default)]
-pub struct FixedHistogram(Option<Arc<FixedCell>>);
-
-impl FixedHistogram {
-    /// Record one observation.
-    #[inline]
-    pub fn observe(&self, value: u64) {
-        if let Some(h) = &self.0 {
-            h.observe(value);
-        }
-    }
-}
-
 struct ActiveSpan {
     registry: MetricsRegistry,
     path: String,
@@ -524,7 +429,6 @@ mod tests {
         h.gauge("g").set(1.0);
         h.inc("c");
         h.observe("e", 3);
-        h.fixed_histogram("f", &[1, 2]).observe(1);
         drop(h.span("s"));
         h.record_span("s2", 1, 10, 10);
         assert!(h.snapshot().is_none());
@@ -544,17 +448,11 @@ mod tests {
         h.observe("sizes", 7);
         h.observe("sizes", 7);
         h.observe("sizes", 9);
-        let fh = h.fixed_histogram("lat", &[10, 100]);
-        fh.observe(5);
-        fh.observe(50);
-        fh.observe(500);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["hits_total"], 10);
         assert_eq!(snap.gauges["level"], 2.5);
         assert_eq!(snap.exact["sizes"].total(), 3);
         assert_eq!(snap.exact["sizes"].quantile(0.5), Some(7));
-        assert_eq!(snap.fixed["lat"].counts, vec![1, 1, 1]);
-        assert_eq!(snap.fixed["lat"].sum, 555);
         assert_eq!(h.counter_value("hits_total"), Some(10));
         assert_eq!(h.gauge_value("level"), Some(2.5));
     }
@@ -599,20 +497,6 @@ mod tests {
         assert_eq!(snap.spans["bulk"].max_nanos, 0);
         assert_eq!(snap.gauges["rate"], 0.0);
         assert_eq!(snap.gauges["exact"], 4.0);
-    }
-
-    #[test]
-    fn fixed_bounds_first_registration_wins_and_overflow_bucket_counts() {
-        let reg = MetricsRegistry::new();
-        let h = reg.handle();
-        let a = h.fixed_histogram("x", &[2, 1, 2]);
-        let b = h.fixed_histogram("x", &[100]);
-        a.observe(1);
-        b.observe(2);
-        b.observe(3);
-        let snap = reg.snapshot();
-        assert_eq!(snap.fixed["x"].bounds, vec![1, 2]);
-        assert_eq!(snap.fixed["x"].counts, vec![1, 1, 1]);
     }
 
     #[test]

@@ -18,26 +18,6 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Frozen fixed-bucket histogram: `counts[i]` holds observations
-/// `≤ bounds[i]`; the final slot (always present) is the overflow
-/// bucket, so `counts.len() == bounds.len() + 1`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct FixedSnapshot {
-    /// Inclusive bucket upper bounds, ascending.
-    pub bounds: Vec<u64>,
-    /// Per-bucket observation counts (last = overflow).
-    pub counts: Vec<u64>,
-    /// Sum of all observed values.
-    pub sum: u64,
-}
-
-impl FixedSnapshot {
-    /// Total observations across all buckets.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 /// Frozen span aggregate for one path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanSnapshot {
@@ -74,8 +54,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Exact nearest-rank histograms (lossless sparse form).
     pub exact: BTreeMap<String, LatencyHistogram>,
-    /// Fixed-bucket histograms.
-    pub fixed: BTreeMap<String, FixedSnapshot>,
     /// Span aggregates, keyed by full path.
     pub spans: BTreeMap<String, SpanSnapshot>,
 }
@@ -86,17 +64,13 @@ impl MetricsSnapshot {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.exact.is_empty()
-            && self.fixed.is_empty()
             && self.spans.is_empty()
     }
 
     /// Fold `other` into `self`: counters, histograms and span
     /// counts/totals add; span maxima take the maximum; gauges are
     /// last-writer-wins (`other` overwrites — callers merge snapshots in
-    /// the order they were taken). Fixed histograms with mismatched
-    /// bucket bounds keep `self`'s buckets and only add the sum of
-    /// `other` (bounds are part of a metric's identity; a mismatch means
-    /// two different schema versions).
+    /// the order they were taken).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -106,22 +80,6 @@ impl MetricsSnapshot {
         }
         for (k, h) in &other.exact {
             self.exact.entry(k.clone()).or_default().merge(h);
-        }
-        for (k, f) in &other.fixed {
-            match self.fixed.get_mut(k) {
-                None => {
-                    self.fixed.insert(k.clone(), f.clone());
-                }
-                Some(mine) if mine.bounds == f.bounds => {
-                    for (a, b) in mine.counts.iter_mut().zip(&f.counts) {
-                        *a += b;
-                    }
-                    mine.sum += f.sum;
-                }
-                Some(mine) => {
-                    mine.sum += f.sum;
-                }
-            }
         }
         for (k, s) in &other.spans {
             let mine = self.spans.entry(k.clone()).or_default();
@@ -176,31 +134,6 @@ mod tests {
         assert_eq!(a.spans["s"].count, 3);
         assert_eq!(a.spans["s"].total_nanos, 15);
         assert_eq!(a.spans["s"].max_nanos, 10);
-    }
-
-    #[test]
-    fn merge_fixed_histograms_respects_bounds_identity() {
-        let mut a = MetricsSnapshot::default();
-        a.fixed.insert(
-            "f".into(),
-            FixedSnapshot {
-                bounds: vec![1, 2],
-                counts: vec![1, 0, 0],
-                sum: 1,
-            },
-        );
-        let mut b = MetricsSnapshot::default();
-        b.fixed.insert(
-            "f".into(),
-            FixedSnapshot {
-                bounds: vec![1, 2],
-                counts: vec![0, 2, 1],
-                sum: 9,
-            },
-        );
-        a.merge(&b);
-        assert_eq!(a.fixed["f"].counts, vec![1, 2, 1]);
-        assert_eq!(a.fixed["f"].sum, 10);
     }
 
     #[test]

@@ -71,8 +71,8 @@
 //! (regression-tested in `tests/sim_determinism.rs` at the workspace
 //! root). Wall-clock throughput is reported per run via
 //! [`stats::NetworkStats::cycles_per_sec`] and
-//! [`stats::NetworkStats::flit_hops_per_sec`]; benchmark with
-//! `cargo bench -p obm-bench`.
+//! [`stats::NetworkStats::flit_hops_per_sec`]; benchmark with the
+//! `sim_paper` and `sim_saturated` workloads of `perfbench/`.
 //!
 //! # Construction and telemetry
 //!

@@ -18,7 +18,7 @@
 //! per-lane accumulators are independent, so the inner loop is branch
 //! free and the additions pipeline across lanes instead of serializing
 //! into one dependent chain (the autovectorization-friendly shape; the
-//! measured throughput in `BENCH_PR6.json` is the verification).
+//! throughput measured in PR 6's CHANGES.md entry is the verification).
 //!
 //! # Determinism contract
 //!

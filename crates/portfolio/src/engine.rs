@@ -616,7 +616,7 @@ mod tests {
     use crate::request::SolveBudget;
     use noc_model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
     use noc_telemetry::{Record, RingSink};
-    use obm_core::algorithms::{MonteCarlo, SimulatedAnnealing, SortSelectSwap};
+    use obm_core::algorithms::{HybridSssSa, MonteCarlo, SimulatedAnnealing, SortSelectSwap};
 
     fn fig5_instance() -> ObmInstance {
         let mesh = Mesh::square(4);
@@ -660,6 +660,27 @@ mod tests {
         for (i, t) in tasks.iter().enumerate() {
             assert_eq!(t.rank, i as u64);
         }
+    }
+
+    #[test]
+    fn one_tile_chip_counts_no_annealing_evaluations() {
+        let mesh = Mesh::square(1);
+        let mcs = MemoryControllers::corners(&mesh);
+        let tiles = TileLatencies::compute(&mesh, &mcs, LatencyParams::fig5_example());
+        let inst = ObmInstance::new(tiles, vec![0, 1], vec![0.4], vec![0.0]);
+        let out = SolveRequest::builder(&inst)
+            .algorithm(Algorithm::SimulatedAnnealing(SimulatedAnnealing::default()))
+            .algorithm(Algorithm::HybridSssSa(HybridSssSa::default()))
+            .seed(1)
+            .build()
+            .expect("valid")
+            .solve();
+        assert_eq!(out.termination, Termination::Completed);
+        let [sa, hybrid] = &out.stats[..] else {
+            panic!("expected two tasks, got {:?}", out.stats);
+        };
+        assert_eq!((sa.algo, sa.evaluations, sa.evals_per_sec), ("SA", 0, None));
+        assert_eq!((hybrid.algo, hybrid.evaluations), ("SSS+SA", 1));
     }
 
     #[test]

@@ -73,13 +73,18 @@ impl Algorithm {
     /// used to apportion [`SolveBudget::max_evaluations`]. Exact for the
     /// iteration-driven algorithms (SA, MC); a calibrated `O(N²)` proxy
     /// for the pass-structured ones (SSS, greedy); the node budget for
-    /// branch-and-bound (its worst case).
+    /// branch-and-bound (its worst case). Annealing counts nothing on a
+    /// chip with fewer than two tiles, where it has no swap to try and
+    /// returns its start mapping at once.
     pub fn nominal_evals(&self, inst: &ObmInstance) -> u64 {
         let n = inst.num_tiles() as u64;
+        let anneal = |iterations: u64| if n < 2 { 0 } else { iterations };
         match self {
             Algorithm::SortSelectSwap(_) => n * n,
-            Algorithm::SimulatedAnnealing(sa) => (sa.iterations as u64) * (sa.restarts as u64),
-            Algorithm::HybridSssSa(h) => n * n + h.sa_iterations as u64,
+            Algorithm::SimulatedAnnealing(sa) => {
+                anneal((sa.iterations as u64) * (sa.restarts as u64))
+            }
+            Algorithm::HybridSssSa(h) => n * n + anneal(h.sa_iterations as u64),
             Algorithm::BalancedGreedy => n,
             Algorithm::MonteCarlo(mc) => mc.samples as u64,
             Algorithm::Exact(b) => b.node_budget,

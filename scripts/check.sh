@@ -3,7 +3,7 @@
 # failure. This is what CI (and reviewers) should run before merging:
 #
 #   1. rustfmt          — formatting must be canonical (`--check`, no writes)
-#   2. clippy           — whole workspace incl. tests/benches, warnings fatal
+#   2. clippy           — whole workspace incl. tests and examples, warnings fatal
 #   3. tier-1 gate      — release build + full test suite
 #   3b. benchmark build  — the repository benchmark (`perfbench/`, its own
 #                         Cargo package outside the workspace) builds
@@ -64,7 +64,8 @@
 #                         `experiments --shards` option must exit 2
 #                         with a usage error, not panic or run;
 #                         robustness smoke: `obm solve` on a one-tile
-#                         chip finishes under `timeout 20`, and a spec
+#                         chip finishes under `timeout 20`, `obm exact`
+#                         on it prints no NaN or inf, and a spec
 #                         with a zero-volume app and `obm latency
 #                         --mesh 0` exit 2
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
@@ -78,13 +79,6 @@
 #                         shared-pass smoke: the default four-seed
 #                         race runs one SSS pass
 #                         (portfolio_sss_passes_total = 1)
-#   6b. bench gate       — `bench_compare.sh BENCH_PR9.json
-#                         BENCH_PR10.json` guards the simulator hot
-#                         loop: the disabled metrics path is priced by
-#                         the raw c1 median (<= 10% vs the PR 9
-#                         snapshot; DESIGN.md §17 budgets <= 1% on a
-#                         quiet host), the enabled path by the
-#                         metrics_delta_pct/enabled derived key
 #   7. panic gate       — no new unwrap()/assert!/panic! in the non-test
 #                         portions of noc-sim's config/network/traffic
 #                         constructor paths (typed ConfigError), the
@@ -328,6 +322,10 @@ timeout 20 "$obm" solve "$smokedir/one.spec" > "$smokedir/one.txt" \
     || { echo "obm solve on a one-tile chip did not finish in 20 s (exit $?)"; exit 1; }
 grep -q "termination: completed" "$smokedir/one.txt" \
     || { echo "obm solve on a one-tile chip did not complete its race"; exit 1; }
+# Its proven optimum is 0, so `obm exact` has no relative gap to print.
+"$obm" exact "$smokedir/one.spec" > "$smokedir/one_exact.txt"
+! grep -qiE 'nan|inf' "$smokedir/one_exact.txt" \
+    || { echo "obm exact on a one-tile chip printed NaN or inf"; cat "$smokedir/one_exact.txt"; exit 1; }
 printf 'mesh 2 2\napp busy 1\nthread 1 0.1\napp idle 2\nthread 0 0\nthread 0 0\n' \
     > "$smokedir/zero.spec"
 expect_exit_2() {
@@ -344,7 +342,7 @@ expect_exit_2 "obm solve on a zero-volume app" "$obm" solve "$smokedir/zero.spec
 grep -q "'idle'" "$smokedir/usage.err" \
     || { echo "zero-volume error does not name the app"; exit 1; }
 expect_exit_2 "obm latency --mesh 0" "$obm" latency --mesh 0
-echo "--> robustness: one-tile solve finished, zero-volume spec and --mesh 0 exit 2"
+echo "--> robustness: one-tile solve and exact finished, zero-volume spec and --mesh 0 exit 2"
 
 echo "==> CLI resume smoke: a damaged checkpoint entry is re-run"
 # A checkpoint mapping that repeats a tile must be rejected entry by
@@ -394,13 +392,6 @@ passes=$(grep -E '^portfolio_sss_passes_total ' "$smokedir/shared.prom" | cut -d
 [[ "$passes" == "1" ]] \
     || { echo "shared-pass smoke: expected 1 SSS pass, got '$passes'"; exit 1; }
 echo "--> shared pass: 1 SSS pass served the SSS task and $hybrids hybrids"
-
-echo "==> bench snapshot regression gate (PR 9 -> PR 10)"
-# Compares the committed snapshots; raw ns/iter labels may not regress
-# by more than 10%. The disabled metrics path rides in the raw c1
-# median; metrics_delta_pct/* keys are informational in the comparison
-# but bounded by the budgets documented in DESIGN.md §17.
-scripts/bench_compare.sh BENCH_PR9.json BENCH_PR10.json
 
 echo "==> panic gate: error-typed constructor and solver paths"
 # SimConfig::validate(), TrafficSpec::new() and Network::new() report bad
