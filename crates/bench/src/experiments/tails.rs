@@ -4,8 +4,7 @@
 //! of C1 and compare per-application percentiles.
 //!
 //! Quantiles here are **exact** nearest-rank statistics from the probed
-//! run's sparse latency histograms (`noc-telemetry::histogram`), not the
-//! bucket-interpolated approximations of `LatencyAccum::percentile`; the
+//! run's sparse latency histograms (`noc-telemetry::histogram`); the
 //! decomposition columns split each application's mean latency into
 //! source-queuing, in-network and serialization cycles (DESIGN.md §12).
 

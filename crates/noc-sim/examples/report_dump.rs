@@ -16,7 +16,7 @@ use noc_sim::{
 fn dump_accum(label: &str, a: &LatencyAccum) {
     println!(
         "{label}: packets={} total_latency={:.6} total_hops={} total_flits={} \
-         flit_hops={} apl={:.9} td_q={:.9} mean_hops={:.9} p50={} p95={} p99={}",
+         flit_hops={} apl={:.9} td_q={:.9} mean_hops={:.9}",
         a.packets,
         a.total_latency,
         a.total_hops,
@@ -25,9 +25,6 @@ fn dump_accum(label: &str, a: &LatencyAccum) {
         a.apl(),
         a.mean_td_q(),
         a.mean_hops(),
-        a.percentile(0.5),
-        a.percentile(0.95),
-        a.percentile(0.99),
     );
 }
 

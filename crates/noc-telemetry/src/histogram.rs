@@ -1,12 +1,10 @@
 //! Exact-quantile latency histograms and per-packet latency
 //! decomposition (DESIGN.md §12).
 //!
-//! [`LatencyAccum`](crate::latency::LatencyAccum) trades resolution for a
-//! fixed footprint (2-cycle buckets, overflow tail), which is right for
-//! per-window accumulators but wrong for tail analysis: its
-//! `percentile()` reports bucket edges, not observed latencies. This
-//! module keeps the **exact** multiset of observed latencies in a sparse
-//! count map, so [`LatencyHistogram::quantile`] reconstructs the true
+//! [`LatencyAccum`](crate::latency::LatencyAccum) keeps only sums and
+//! counts, so it gives means but no quantiles. This module keeps the
+//! **exact** multiset of observed latencies in a sparse count map, so
+//! [`LatencyHistogram::quantile`] reconstructs the true
 //! nearest-rank quantile — the value a sorted array of the raw per-packet
 //! latencies would yield — while [`LatencyHistogram::log2_buckets`]
 //! offers a compact log-bucketed summary for export. Distinct latency

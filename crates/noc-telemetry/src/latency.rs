@@ -1,12 +1,10 @@
-//! The latency accumulator/histogram shared by end-of-run reports
+//! The latency accumulator shared by end-of-run reports
 //! (`noc-sim::stats::SimReport`) and windowed telemetry ([`WindowRecord`]).
+//! Latency quantiles come from the exact
+//! [`LatencyHistogram`](crate::histogram::LatencyHistogram) of a probed
+//! run's flow summary.
 //!
 //! [`WindowRecord`]: crate::window::WindowRecord
-
-/// Histogram geometry: `NUM_BUCKETS` buckets of `BUCKET_WIDTH` cycles,
-/// with the last bucket collecting the overflow tail.
-const NUM_BUCKETS: usize = 64;
-const BUCKET_WIDTH: u64 = 2;
 
 /// Latency accumulator for one bucket (group, class, source or window).
 ///
@@ -14,7 +12,7 @@ const BUCKET_WIDTH: u64 = 2;
 /// sums), which is exactly what the determinism regression tests need:
 /// two runs with the same seed must produce accumulators that compare
 /// equal under `==`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LatencyAccum {
     pub packets: u64,
     pub total_latency: f64,
@@ -25,30 +23,11 @@ pub struct LatencyAccum {
     /// Sum over packets of (latency − ideal)/hops, for the td_q estimate.
     queue_excess_per_hop: f64,
     routed_packets: u64,
-    /// Latency histogram (2-cycle buckets, overflow in the last).
-    histogram: Vec<u64>,
-}
-
-impl Default for LatencyAccum {
-    fn default() -> Self {
-        LatencyAccum {
-            packets: 0,
-            total_latency: 0.0,
-            total_hops: 0,
-            total_flits: 0,
-            flit_hops: 0,
-            queue_excess_per_hop: 0.0,
-            routed_packets: 0,
-            histogram: vec![0; NUM_BUCKETS],
-        }
-    }
 }
 
 impl LatencyAccum {
     /// Record a delivered packet.
     pub fn record(&mut self, latency: u64, hops: u32, flits: u16, ideal: u64) {
-        let bucket = ((latency / BUCKET_WIDTH) as usize).min(NUM_BUCKETS - 1);
-        self.histogram[bucket] += 1;
         self.packets += 1;
         self.total_latency += latency as f64;
         self.total_hops += hops as u64;
@@ -87,32 +66,10 @@ impl LatencyAccum {
         }
     }
 
-    /// Latency percentile (0 < q ≤ 1) from the histogram, as the upper
-    /// edge of the bucket containing the q-quantile (2-cycle resolution;
-    /// the overflow bucket reports its lower edge). Returns 0 for an
-    /// empty accumulator or an out-of-range `q`.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if !(0.0..=1.0).contains(&q) || self.packets == 0 {
-            return 0.0;
-        }
-        let target = (q * self.packets as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &count) in self.histogram.iter().enumerate() {
-            acc += count;
-            if acc >= target {
-                return ((i as u64 + 1) * BUCKET_WIDTH) as f64;
-            }
-        }
-        (NUM_BUCKETS as u64 * BUCKET_WIDTH) as f64
-    }
-
-    /// Fold `other` into `self` (all counters and the histogram). The sum
+    /// Fold `other` into `self` (every counter and sum). The sum
     /// order of the f64 fields is `self += other`, so merging in a fixed
     /// order is deterministic.
     pub fn merge(&mut self, other: &LatencyAccum) {
-        for (a, b) in self.histogram.iter_mut().zip(&other.histogram) {
-            *a += b;
-        }
         self.packets += other.packets;
         self.total_latency += other.total_latency;
         self.total_hops += other.total_hops;
@@ -145,31 +102,6 @@ mod tests {
         a.record(0, 0, 1, 0);
         assert_eq!(a.mean_td_q(), 0.0);
         assert_eq!(a.apl(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_from_histogram() {
-        let mut a = LatencyAccum::default();
-        for lat in [4u64, 4, 4, 4, 4, 4, 4, 4, 4, 40] {
-            a.record(lat, 1, 1, lat);
-        }
-        // p50 sits in the 4-cycle bucket ([4,6) → upper edge 6); p99 in the
-        // 40-cycle bucket ([40,42) → 42).
-        assert_eq!(a.percentile(0.5), 6.0);
-        assert_eq!(a.percentile(0.99), 42.0);
-        assert_eq!(a.percentile(1.0), 42.0);
-        // overflow latencies land in the last bucket
-        let mut b = LatencyAccum::default();
-        b.record(10_000, 1, 1, 10_000);
-        assert_eq!(b.percentile(0.5), 128.0);
-    }
-
-    #[test]
-    fn out_of_range_quantile_is_zero() {
-        let mut a = LatencyAccum::default();
-        a.record(4, 1, 1, 4);
-        assert_eq!(a.percentile(-0.1), 0.0);
-        assert_eq!(a.percentile(1.5), 0.0);
     }
 
     #[test]

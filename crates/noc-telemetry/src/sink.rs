@@ -209,8 +209,6 @@ fn accum_to_json(a: &LatencyAccum) -> Value {
         ("mean_latency", Value::from(a.apl())),
         ("mean_hops", Value::from(a.mean_hops())),
         ("mean_td_q", Value::from(a.mean_td_q())),
-        ("p50", Value::from(a.percentile(0.5))),
-        ("p95", Value::from(a.percentile(0.95))),
         ("total_flits", Value::from(a.total_flits)),
     ])
 }

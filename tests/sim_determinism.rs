@@ -1164,17 +1164,14 @@ fn fuzz_network(case: u64) -> Network {
 
 /// FNV-1a of every simulated bit of a report: the accumulators (through
 /// their `Debug` rendering, which prints each f64 exactly and covers the
-/// private fields) and the counters. Wall time, the link count and the
-/// accumulators' bucketed `histogram` field are left out.
+/// private fields) and the counters. The link count is left out.
 fn report_fingerprint(r: &SimReport) -> u64 {
     let accums = r
         .groups
         .iter()
         .chain(&r.per_source)
         .chain([&r.cache, &r.memory]);
-    let text: String = accums
-        .map(|a| without_histogram(&format!("{a:?}")))
-        .collect();
+    let text: String = accums.map(|a| format!("{a:?}")).collect();
     let n = &r.network;
     fnv1a(text.bytes().map(u64::from).chain([
         r.measured_cycles,
@@ -1189,17 +1186,6 @@ fn report_fingerprint(r: &SimReport) -> u64 {
         n.arrival_draws,
         n.skipped_cycles,
     ]))
-}
-
-/// `debug` with its `, histogram: [..]` field cut out.
-fn without_histogram(debug: &str) -> String {
-    let Some(start) = debug.find(", histogram: [") else {
-        return debug.to_string();
-    };
-    let end = debug[start..]
-        .find(']')
-        .map_or(debug.len(), |e| start + e + 1);
-    format!("{}{}", &debug[..start], &debug[end..])
 }
 
 /// FNV-1a of a heatmap's raw counters: per-port link slots (wrap links
