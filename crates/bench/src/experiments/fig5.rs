@@ -7,7 +7,7 @@
 
 use noc_model::{LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies};
 use obm_core::algorithms::{Mapper, SortSelectSwap};
-use obm_core::{evaluate, BalanceMetric, Mapping, ObmInstance};
+use obm_core::{evaluate, Mapping, ObmInstance};
 
 /// The Figure 5 instance.
 pub fn fig5_instance() -> ObmInstance {
@@ -67,12 +67,12 @@ pub fn run() -> String {
          SSS on this instance reaches max-APL {:.4} (= the optimum).\n",
         ra.per_app.iter().map(|d| (d * 1e4).round() / 1e4).collect::<Vec<_>>(),
         ra.max_apl,
-        BalanceMetric::DevApl.value(&ra),
-        BalanceMetric::MinToMaxRatio.value(&ra),
+        ra.dev_apl,
+        ra.min_apl / ra.max_apl,
         rb.per_app.iter().map(|d| (d * 1e4).round() / 1e4).collect::<Vec<_>>(),
         rb.max_apl,
-        BalanceMetric::DevApl.value(&rb),
-        BalanceMetric::MinToMaxRatio.value(&rb),
+        rb.dev_apl,
+        rb.min_apl / rb.max_apl,
         rb.max_apl - ra.max_apl,
         sss.max_apl,
     )

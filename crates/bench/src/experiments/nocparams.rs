@@ -10,15 +10,15 @@ use noc_sim::{Network, Schedule, SimConfig, TrafficSpec};
 
 fn run_point(vcs: usize, depth: usize, cycles: u64) -> noc_sim::SimReport {
     let mesh = Mesh::square(8);
-    let cfg = SimConfig::builder(mesh)
-        .vcs_per_class(vcs)
-        .buffer_depth(depth)
-        .warmup_cycles(cycles / 10)
-        .measure_cycles(cycles)
-        .max_drain_cycles(10 * cycles)
-        .seed(31)
-        .build()
-        .expect("swept router parameters are valid");
+    let cfg = SimConfig {
+        vcs_per_class: vcs,
+        buffer_depth: depth,
+        warmup_cycles: cycles / 10,
+        measure_cycles: cycles,
+        max_drain_cycles: 10 * cycles,
+        seed: 31,
+        ..SimConfig::paper_defaults(mesh)
+    };
     let traffic = TrafficSpec::uniform(
         &mesh,
         Schedule::per_kilocycle(7.0), // C1 scale

@@ -8,7 +8,7 @@ use crate::harness::{all_paper_instances, paper_instance};
 use crate::pool;
 use crate::sim_bridge::paper_network;
 use crate::table::{f, MarkdownTable};
-use noc_metrics::{MetricsHandle, MetricsRegistry};
+use noc_metrics::{per_sec, MetricsHandle, MetricsRegistry};
 use noc_sim::telemetry::{Phase, RingSink};
 use noc_sim::InjectionProcess;
 use obm_core::algorithms::{Mapper, MonteCarlo, SimulatedAnnealing, SortSelectSwap};
@@ -26,12 +26,12 @@ pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
     run_with_metrics(fast, injection, &MetricsHandle::disabled())
 }
 
-/// [`run_with`] reporting into a metrics registry (DESIGN.md §17). The
-/// sweep's throughput and parallelism figures are published as gauges
-/// and the printed footer reads them back from the registry, so the
-/// report and an exported snapshot can never disagree. With a disabled
-/// handle a private registry is used — the gauges still back the
-/// printout.
+/// [`run_with`] reporting into a metrics registry (DESIGN.md §17). Each
+/// configuration's simulation runs inside a `validate/sim/<cfg>` span,
+/// and every printed rate is work ÷ span time read back from the
+/// registry, as are the parallelism gauges, so the report and an
+/// exported snapshot can never disagree. With a disabled handle a
+/// private registry is used — it still backs the printout.
 pub fn run_with_metrics(
     fast: bool,
     injection: InjectionProcess,
@@ -99,7 +99,11 @@ pub fn run_with_metrics(
         // Probed run: windowed telemetry rides along with the
         // validation sweep at no semantic cost (bit-identical).
         let mut sink = RingSink::new(4096);
-        let sim = paper_network(pi, &mapping, cycles, 7, injection).run_probed(&mut sink);
+        let network = paper_network(pi, &mapping, cycles, 7, injection);
+        let sim = {
+            let _span = metrics.span(&sim_span(pi.config));
+            network.run_probed(&mut sink)
+        };
         let measure = || sink.windows().filter(|w| w.phase == Phase::Measure);
         let peak_inj = measure().map(|w| w.injection_rate()).fold(0.0f64, f64::max);
         let peak_buf = measure().map(|w| w.buffered_flits).max().unwrap_or(0);
@@ -121,9 +125,8 @@ pub fn run_with_metrics(
     let mut max_gain: f64 = 0.0;
     let mut total_cycles = 0u64;
     let mut total_flit_hops = 0u64;
-    let mut total_wall_nanos = 0u64;
     let mut total_evals = 0u64;
-    let mut total_eval_nanos = 0u64;
+    let snap = metrics.snapshot().unwrap_or_default();
     for (pi, (analytic, sim, peak_inj, peak_buf, portfolio, p99, ni_q)) in
         instances.iter().zip(&results)
     {
@@ -134,16 +137,13 @@ pub fn run_with_metrics(
         max_gain = max_gain.max((analytic.max_apl - portfolio.objective) / analytic.max_apl);
         total_cycles += sim.network.cycles_run;
         total_flit_hops += sim.network.link_flit_traversals;
-        total_wall_nanos += sim.network.wall_nanos;
-        // Aggregate solver-portfolio evaluation throughput (tasks that
-        // finished a timed fresh run only — resumed/dropped tasks report
-        // wall_nanos 0 and are excluded from both sums).
-        for s in portfolio.stats.iter().filter(|s| s.objective.is_some()) {
-            if s.wall_nanos > 0 {
-                total_evals += s.evaluations;
-                total_eval_nanos += s.wall_nanos;
-            }
-        }
+        total_evals += portfolio
+            .stats
+            .iter()
+            .filter(|s| s.ran())
+            .map(|s| s.evaluations)
+            .sum::<u64>();
+        let run_nanos = snap.span(&sim_span(pi.config)).total_nanos;
         t.row(vec![
             pi.config.name().to_string(),
             f(analytic.g_apl),
@@ -154,7 +154,7 @@ pub fn run_with_metrics(
             format!("{} s{}", portfolio.winner, portfolio.winner_seed),
             f(sim.mean_td_q()),
             if sim.fully_drained { "yes" } else { "NO" }.to_string(),
-            format!("{:.2}", sim.network.cycles_per_sec() / 1e6),
+            format!("{:.2}", per_sec(sim.network.cycles_run, run_nanos) / 1e6),
             format!("{}", sim.network.skipped_cycles),
             format!("{peak_inj:.3}"),
             format!("{peak_buf}"),
@@ -162,32 +162,17 @@ pub fn run_with_metrics(
             format!("{ni_q:.3}"),
         ]);
     }
-    // Per-worker wall times, so the aggregate is per-thread simulator
-    // throughput (not wall-clock of the parallel sweep). Published as
-    // gauges first, then read back for the footer — the snapshot is the
-    // source of truth (wall-derived gauges are zero under the logical
-    // clock, and the footer honestly prints that zero).
-    metrics.wall_gauge_set(
-        "validate_sim_cycles_per_sec",
-        total_cycles as f64 * 1e9 / total_wall_nanos.max(1) as f64,
-    );
-    metrics.wall_gauge_set(
-        "validate_sim_flit_hops_per_sec",
-        total_flit_hops as f64 * 1e9 / total_wall_nanos.max(1) as f64,
-    );
-    metrics.wall_gauge_set(
-        "validate_evals_per_sec",
-        total_evals as f64 * 1e9 / total_eval_nanos.max(1) as f64,
-    );
+    // Span totals sum per-run times, so the aggregates are per-thread
+    // throughput, not wall-clock of the parallel sweep (the logical clock
+    // zeroes every span, and the footer honestly prints that zero).
+    let sim_nanos = snap.span_sum("validate/sim/").total_nanos;
+    let eval_nanos = snap.span_sum("portfolio/task/").total_nanos;
     metrics.gauge_set("pool_effective_workers", pool::effective_workers() as f64);
     metrics.gauge_set(
         "pool_detected_cores",
         obm_core::pool::detected_cores() as f64,
     );
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
-    let agg_cps = gauge("validate_sim_cycles_per_sec");
-    let agg_fps = gauge("validate_sim_flit_hops_per_sec");
-    let agg_eps = gauge("validate_evals_per_sec");
     format!(
         "## Validation — analytic model vs cycle-level simulation ({injection:?} injection)\n\n{}\n\
          Worst g-APL discrepancy {:.1}%; worst td_q {:.3} cycles \
@@ -200,12 +185,17 @@ pub fn run_with_metrics(
         max_err * 100.0,
         max_tdq,
         max_gain * 100.0,
-        agg_cps / 1e6,
-        agg_fps / 1e6,
-        agg_eps / 1e6,
+        per_sec(total_cycles, sim_nanos) / 1e6,
+        per_sec(total_flit_hops, sim_nanos) / 1e6,
+        per_sec(total_evals, eval_nanos) / 1e6,
         gauge("pool_effective_workers") as usize,
         gauge("pool_detected_cores") as usize,
     )
+}
+
+/// The span that times `cfg`'s validation simulation.
+fn sim_span(cfg: PaperConfig) -> String {
+    format!("validate/sim/{}", cfg.name())
 }
 
 #[cfg(test)]

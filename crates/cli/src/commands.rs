@@ -2,7 +2,7 @@
 //! tests can drive them without a process boundary.
 
 use crate::spec::{spec_from_workload, ControllerSpec, InstanceSpec};
-use noc_metrics::{MetricsHandle, MetricsRegistry, MetricsSnapshot};
+use noc_metrics::{per_sec, MetricsHandle, MetricsRegistry, MetricsSnapshot};
 use noc_model::{
     ChipLayout, LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies, Topology,
 };
@@ -19,7 +19,7 @@ use obm_core::algorithms::{
 use obm_core::{
     evaluate, Mapping, MappingError, ObjectiveSpec, ObmInstance, PlacementOptions, SearchMode,
 };
-use obm_portfolio::{Algorithm, Checkpoint, SolveBudget, SolveRequest};
+use obm_portfolio::{Algorithm, Checkpoint, SolveBudget, SolveRequest, SolveStats};
 use workload::{PaperConfig, WorkloadBuilder};
 
 /// Layout flags shared by every spec-driven command: `--topology` picks
@@ -744,8 +744,8 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
 
     // Registry-backed reporting: with no `--metrics` flag the passed
     // handle is disabled, so open a private registry — the parallelism
-    // and throughput lines below read their figures back from gauges
-    // either way, keeping report and snapshot in lockstep.
+    // and throughput figures below are read back from its gauges and
+    // task spans either way, keeping report and snapshot in lockstep.
     let metrics = if args.metrics.enabled() {
         args.metrics.clone()
     } else {
@@ -784,6 +784,15 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
         obm_core::pool::detected_cores() as f64,
     );
     let gauge = |name: &str| metrics.gauge_value(name).unwrap_or(0.0);
+    // Each rate is a task's evaluations ÷ its `portfolio/task/…` span,
+    // for the tasks that ran a whole fresh race in this solve.
+    let snap = metrics.snapshot().unwrap_or_default();
+    let task_nanos = |s: &SolveStats| snap.span(&s.span_path()).total_nanos;
+    let (ran_evals, ran_nanos) = outcome
+        .stats
+        .iter()
+        .filter(|s| s.ran())
+        .fold((0, 0), |(e, n), s| (e + s.evaluations, n + task_nanos(s)));
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -800,8 +809,8 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
         gauge("cli_detected_cores") as usize,
     ));
     out.push_str(&format!(
-        "throughput: {:.0} eval(s)/s aggregate over timed tasks (portfolio_evals_per_sec)\n",
-        gauge("portfolio_evals_per_sec"),
+        "throughput: {:.0} eval(s)/s aggregate over timed tasks (portfolio/task spans)\n",
+        per_sec(ran_evals, ran_nanos),
     ));
     if outcome.resume_rejected {
         out.push_str("note: --resume checkpoint did not match this request; all tasks re-ran\n");
@@ -830,9 +839,10 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
             s.algo,
             s.seed,
             s.evaluations,
-            match s.evals_per_sec {
-                Some(r) => format!("{r:.0}"),
-                None => "-".to_string(),
+            if s.ran() {
+                format!("{:.0}", per_sec(s.evaluations, task_nanos(s)))
+            } else {
+                "-".to_string()
             },
             match s.objective {
                 Some(v) if s.resumed => format!("{v:.6} (resumed)"),
@@ -1441,6 +1451,36 @@ thread 5.0 0.7
         let (out, _) = solve_command(SPEC, &args).expect("solve succeeds");
         assert!(out.contains("portfolio: 8 task(s)"), "{out}");
         assert_eq!(task_rows(&out, "MC"), 2, "{out}");
+    }
+
+    #[test]
+    fn printed_eval_rates_are_evaluations_over_task_spans() {
+        let registry = MetricsRegistry::new();
+        let mut args = quick_solve_args("sss,sa,greedy", None);
+        args.max_evals = None;
+        args.metrics = registry.handle();
+        let (out, _) = solve_command(SPEC, &args).expect("solve succeeds");
+        let snap = registry.snapshot();
+        let rate = |evals: u64, nanos: u64| format!("{:.0}", evals as f64 * 1e9 / nanos as f64);
+        let (mut rows, mut all_evals, mut all_nanos) = (0, 0, 0);
+        for line in out.lines() {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            let [task, algo, seed, evals, evals_per_sec, _objective] = cols[..] else {
+                continue;
+            };
+            let (Ok(_), Ok(evals)) = (task.parse::<u64>(), evals.parse::<u64>()) else {
+                continue;
+            };
+            let nanos = snap.spans[&format!("portfolio/task/{algo}-s{seed}")].total_nanos;
+            assert!(nanos > 0, "wall-clock span of {line}");
+            assert_eq!(evals_per_sec, rate(evals, nanos), "{line}");
+            assert_ne!(evals_per_sec, "0", "{line}");
+            (rows, all_evals, all_nanos) = (rows + 1, all_evals + evals, all_nanos + nanos);
+        }
+        // SSS and greedy once, SA per seed.
+        assert_eq!(rows, 4, "{out}");
+        let throughput = format!("throughput: {} eval(s)/s", rate(all_evals, all_nanos));
+        assert!(out.contains(&throughput), "{throughput}\n{out}");
     }
 
     #[test]

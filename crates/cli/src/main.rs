@@ -76,8 +76,9 @@ Layout overrides (map, eval, simulate, solve, experiments trace/heatmap):
 Metrics export (simulate, solve, place, experiments *):
   --metrics FILE               write a runtime-metrics snapshot after the run
   --metrics-format prom|json   snapshot format (default prom: Prometheus text)
-  OBM_METRICS_CLOCK=logical    zero wall-derived durations/gauges, making the
-                               snapshot byte-deterministic for a fixed seed
+  OBM_METRICS_CLOCK=logical    zero every span duration (and every rate printed
+                               from one), making the snapshot and the printed
+                               report byte-deterministic for a fixed seed
 
 The spec format is documented in the repository README and crates/cli/src/spec.rs."
 }
@@ -164,8 +165,9 @@ struct MetricsSink {
 /// `--metrics <path>` / `--metrics-format prom|json`: build the registry
 /// every instrumented command reports into. Absent flag ⇒ disabled handle
 /// (the never-taken-branch fast path). `OBM_METRICS_CLOCK=logical` swaps
-/// the wall clock for a logical one, zeroing every wall-derived value so
-/// fixed-seed snapshots are byte-deterministic (DESIGN.md §17).
+/// the wall clock for a logical one, zeroing every span duration so
+/// fixed-seed snapshots and printed rates are byte-deterministic
+/// (DESIGN.md §17).
 fn metrics_setup(args: &Args) -> Result<(noc_metrics::MetricsHandle, Option<MetricsSink>), String> {
     let Some(path) = args.value_flag("metrics")? else {
         return Ok((noc_metrics::MetricsHandle::disabled(), None));

@@ -21,6 +21,13 @@
 //!   the path prefix, and observations aggregate per path (count, total,
 //!   max), not per instance.
 //!
+//! Spans are the workspace's one wall clock. Result structs (simulation
+//! reports, solve statistics) carry only what the seeded computation
+//! determines; a printed rate is work ÷ a span's total, derived from a
+//! snapshot when it is printed ([`per_sec`], [`MetricsSnapshot::span`],
+//! [`MetricsSnapshot::span_sum`]), so it cannot disagree with the
+//! snapshot exported next to it.
+//!
 //! Registration takes a short mutex once per name; the hot increment
 //! path is atomic-only. [`MetricsRegistry::snapshot`] freezes everything
 //! into a [`MetricsSnapshot`], exportable as Prometheus text or JSON
@@ -33,9 +40,9 @@
 //! Counter totals, histogram contents and span *counts* are functions of
 //! the seeded computation, so they are reproducible. Durations are not —
 //! unless the registry runs under [`ClockMode::Logical`], which records
-//! every duration (and every wall-derived gauge routed through
-//! [`MetricsHandle::wall_gauge_set`]) as zero. Under the logical clock a
-//! fixed seed produces a byte-identical snapshot, which is what
+//! every duration as zero, and with it every rate derived from one.
+//! Under the logical clock a fixed seed produces a byte-identical
+//! snapshot and byte-identical printed rates, which is what
 //! `scripts/check.sh` pins.
 
 #![forbid(unsafe_code)]
@@ -45,5 +52,5 @@ mod export;
 mod registry;
 mod snapshot;
 
-pub use registry::{ClockMode, Counter, Gauge, MetricsHandle, MetricsRegistry, SpanGuard};
-pub use snapshot::{span_parent, MetricsSnapshot, SnapshotError, SpanSnapshot};
+pub use registry::{ClockMode, Counter, MetricsHandle, MetricsRegistry, SpanGuard};
+pub use snapshot::{per_sec, span_parent, MetricsSnapshot, SnapshotError, SpanSnapshot};

@@ -10,7 +10,7 @@ use noc_telemetry::LatencyHistogram;
 
 use crate::snapshot::{MetricsSnapshot, SpanSnapshot};
 
-/// What span durations and wall-derived gauges record.
+/// What span durations record.
 ///
 /// `Wall` is the live default. `Logical` records every duration as zero,
 /// making snapshots a pure function of the seeded computation — the mode
@@ -87,11 +87,6 @@ impl MetricsRegistry {
                 ..Inner::default()
             }),
         }
-    }
-
-    /// The clock mode this registry records durations under.
-    pub fn clock(&self) -> ClockMode {
-        self.inner.clock
     }
 
     /// An enabled handle into this registry.
@@ -211,37 +206,17 @@ impl MetricsHandle {
         self.0.is_some()
     }
 
-    /// Whether wall-clock timing is live: enabled *and* under
-    /// [`ClockMode::Wall`]. Hot loops use this to skip `Instant` reads
-    /// entirely when durations would be discarded anyway.
-    #[inline]
-    pub fn timing(&self) -> bool {
-        matches!(&self.0, Some(r) if r.inner.clock == ClockMode::Wall)
-    }
-
-    /// The registry behind this handle, if enabled.
-    pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.0.as_ref()
-    }
-
     /// Pre-resolve a counter for hot-path increments.
     pub fn counter(&self, name: &str) -> Counter {
         Counter(self.0.as_ref().map(|r| r.counter_cell(name)))
     }
 
-    /// Pre-resolve a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        Gauge(self.0.as_ref().map(|r| r.gauge_cell(name)))
-    }
-
     /// Open a span at `path`. The returned guard records one observation
-    /// (under the registry's clock) when dropped; nested work can open
-    /// children via [`SpanGuard::child`].
+    /// (under the registry's clock) when dropped; nested work opens its
+    /// own span at a longer path (`parent/child`).
     pub fn span(&self, path: &str) -> SpanGuard {
         SpanGuard {
             active: self.0.as_ref().map(|r| ActiveSpan {
-                registry: r.clone(),
-                path: path.to_string(),
                 cell: r.span_cell(path),
                 start: (r.inner.clock == ClockMode::Wall).then(Instant::now),
             }),
@@ -277,19 +252,6 @@ impl MetricsHandle {
     pub fn gauge_set(&self, name: &str, value: f64) {
         if let Some(r) = &self.0 {
             r.gauge_cell(name).store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Gauge set for a wall-clock-derived value (a rate, a duration):
-    /// recorded as zero under [`ClockMode::Logical`] so deterministic
-    /// snapshots stay deterministic.
-    pub fn wall_gauge_set(&self, name: &str, value: f64) {
-        if let Some(r) = &self.0 {
-            let v = match r.inner.clock {
-                ClockMode::Wall => value,
-                ClockMode::Logical => 0.0,
-            };
-            r.gauge_cell(name).store(v.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -358,23 +320,7 @@ impl Counter {
     }
 }
 
-/// Pre-resolved gauge (last-written `f64`).
-#[derive(Clone, Default)]
-pub struct Gauge(Option<Arc<AtomicU64>>);
-
-impl Gauge {
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, value: f64) {
-        if let Some(c) = &self.0 {
-            c.store(value.to_bits(), Ordering::Relaxed);
-        }
-    }
-}
-
 struct ActiveSpan {
-    registry: MetricsRegistry,
-    path: String,
     cell: Arc<SpanCell>,
     start: Option<Instant>,
 }
@@ -383,25 +329,6 @@ struct ActiveSpan {
 #[must_use = "a span records its duration when dropped; binding to _ drops immediately"]
 pub struct SpanGuard {
     active: Option<ActiveSpan>,
-}
-
-impl SpanGuard {
-    /// Open a child span at `self.path + "/" + name`. The parent link is
-    /// the path structure itself; the child's lifetime is independent of
-    /// the parent guard.
-    pub fn child(&self, name: &str) -> SpanGuard {
-        SpanGuard {
-            active: self.active.as_ref().map(|a| {
-                let path = format!("{}/{}", a.path, name);
-                ActiveSpan {
-                    registry: a.registry.clone(),
-                    cell: a.registry.span_cell(&path),
-                    path,
-                    start: a.start.map(|_| Instant::now()),
-                }
-            }),
-        }
-    }
 }
 
 impl Drop for SpanGuard {
@@ -424,9 +351,8 @@ mod tests {
     fn disabled_handle_is_inert() {
         let h = MetricsHandle::disabled();
         assert!(!h.enabled());
-        assert!(!h.timing());
         h.counter("c").inc();
-        h.gauge("g").set(1.0);
+        h.gauge_set("g", 1.0);
         h.inc("c");
         h.observe("e", 3);
         drop(h.span("s"));
@@ -461,13 +387,9 @@ mod tests {
     fn spans_aggregate_per_path_with_parent_links() {
         let reg = MetricsRegistry::new();
         let h = reg.handle();
-        {
-            let outer = h.span("solve");
-            let _inner = outer.child("task");
-        }
-        {
-            let outer = h.span("solve");
-            let _inner = outer.child("task");
+        for _ in 0..2 {
+            let _outer = h.span("solve");
+            let _inner = h.span("solve/task");
         }
         let snap = reg.snapshot();
         assert_eq!(snap.spans["solve"].count, 2);
@@ -484,10 +406,8 @@ mod tests {
         let reg = MetricsRegistry::with_clock(ClockMode::Logical);
         let h = reg.handle();
         assert!(h.enabled());
-        assert!(!h.timing());
         drop(h.span("work"));
         h.record_span("bulk", 7, 1234, 99);
-        h.wall_gauge_set("rate", 123.0);
         h.gauge_set("exact", 4.0);
         let snap = reg.snapshot();
         assert_eq!(snap.spans["work"].count, 1);
@@ -495,7 +415,6 @@ mod tests {
         assert_eq!(snap.spans["bulk"].count, 7);
         assert_eq!(snap.spans["bulk"].total_nanos, 0);
         assert_eq!(snap.spans["bulk"].max_nanos, 0);
-        assert_eq!(snap.gauges["rate"], 0.0);
         assert_eq!(snap.gauges["exact"], 4.0);
     }
 

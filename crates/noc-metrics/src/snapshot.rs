@@ -38,6 +38,23 @@ impl SpanSnapshot {
             self.total_nanos as f64 / self.count as f64
         }
     }
+
+    /// Fold `other` in: counts and totals add, maxima take the maximum.
+    fn absorb(&mut self, other: &SpanSnapshot) {
+        self.count += other.count;
+        self.total_nanos += other.total_nanos;
+        self.max_nanos = self.max_nanos.max(other.max_nanos);
+    }
+}
+
+/// `work` per second of `nanos` of span time: how every printed rate is
+/// derived. 0 when `nanos` is 0, as under the logical clock.
+pub fn per_sec(work: u64, nanos: u64) -> f64 {
+    if nanos == 0 {
+        0.0
+    } else {
+        work as f64 * 1e9 / nanos as f64
+    }
 }
 
 /// The parent of a span path — its `/`-separated prefix, if any.
@@ -82,11 +99,24 @@ impl MetricsSnapshot {
             self.exact.entry(k.clone()).or_default().merge(h);
         }
         for (k, s) in &other.spans {
-            let mine = self.spans.entry(k.clone()).or_default();
-            mine.count += s.count;
-            mine.total_nanos += s.total_nanos;
-            mine.max_nanos = mine.max_nanos.max(s.max_nanos);
+            self.spans.entry(k.clone()).or_default().absorb(s);
         }
+    }
+
+    /// The span at `path`; an empty aggregate if none was recorded.
+    pub fn span(&self, path: &str) -> SpanSnapshot {
+        self.spans.get(path).copied().unwrap_or_default()
+    }
+
+    /// Every span whose path starts with `prefix`, folded into one
+    /// aggregate (counts and totals add, maxima take the maximum).
+    pub fn span_sum(&self, prefix: &str) -> SpanSnapshot {
+        let mut sum = SpanSnapshot::default();
+        let under = self.spans.range(prefix.to_string()..);
+        for (_, s) in under.take_while(|(path, _)| path.starts_with(prefix)) {
+            sum.absorb(s);
+        }
+        sum
     }
 
     /// Parse either export format, sniffing by the first non-space
@@ -134,6 +164,31 @@ mod tests {
         assert_eq!(a.spans["s"].count, 3);
         assert_eq!(a.spans["s"].total_nanos, 15);
         assert_eq!(a.spans["s"].max_nanos, 10);
+    }
+
+    #[test]
+    fn rates_divide_work_by_span_time() {
+        let span = |count, total_nanos| SpanSnapshot {
+            count,
+            total_nanos,
+            max_nanos: total_nanos,
+        };
+        let mut snap = MetricsSnapshot::default();
+        snap.spans.insert("sim/a".into(), span(1, 2_000));
+        snap.spans.insert("sim/b".into(), span(2, 3_000));
+        snap.spans.insert("simx".into(), span(1, 7));
+        snap.spans.insert("task".into(), span(1, 0));
+        let sim = snap.span_sum("sim/");
+        assert_eq!(
+            (sim.count, sim.total_nanos, sim.max_nanos),
+            (3, 5_000, 3_000)
+        );
+        assert_eq!(per_sec(10, sim.total_nanos), 2e6);
+        assert_eq!(per_sec(4, snap.span("sim/a").total_nanos), 2e6);
+        // A missing span and a logical-clock (zero-length) span rate 0.
+        assert_eq!(snap.span("none"), SpanSnapshot::default());
+        assert_eq!(per_sec(5, snap.span("task").total_nanos), 0.0);
+        assert_eq!(snap.span_sum("none/"), SpanSnapshot::default());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Simulator configuration (paper Table 2 defaults): the [`SimConfig`]
-//! struct, the [`SimConfigBuilder`], and the [`ConfigError`] type every
-//! constructor-path validation reports through.
+//! struct and the [`ConfigError`] type every constructor-path validation
+//! reports through.
 //!
-//! Configurations are plain data with public fields (tests and sweeps
-//! mutate them freely); validity is checked *at the boundary* — by
-//! [`SimConfig::validate`], called from [`SimConfigBuilder::build`] and
+//! Configurations are plain data with public fields, written as struct
+//! updates of [`SimConfig::paper_defaults`] or mutated in place; validity
+//! is checked *at the boundary* — by [`SimConfig::validate`], called from
 //! [`Network::new`](crate::network::Network::new) — and reported as typed
 //! [`ConfigError`]s instead of panics, so callers (CLI, sweeps, property
 //! tests) can surface bad parameters without crashing.
@@ -67,7 +67,7 @@ impl std::str::FromStr for InjectionProcess {
 
 /// A rejected simulator configuration or traffic description.
 ///
-/// Returned by [`SimConfig::validate`], [`SimConfigBuilder::build`],
+/// Returned by [`SimConfig::validate`],
 /// [`TrafficSpec::new`](crate::traffic::TrafficSpec::new) and
 /// [`Network::new`](crate::network::Network::new); these paths never
 /// panic on bad input.
@@ -199,10 +199,23 @@ impl std::error::Error for ConfigError {}
 
 /// Configuration of the cycle-level simulation.
 ///
-/// Fields are public — sweeps and tests mutate them directly — but the
+/// Fields are public — sweeps and tests write them directly — and the
 /// simulator validates on construction
-/// ([`Network::new`](crate::network::Network::new)); prefer
-/// [`SimConfig::builder`] for the fluent, validate-on-build path.
+/// ([`Network::new`](crate::network::Network::new)):
+///
+/// ```
+/// use noc_model::Mesh;
+/// use noc_sim::SimConfig;
+///
+/// let mesh = Mesh::square(8);
+/// let cfg = SimConfig {
+///     warmup_cycles: 1_000,
+///     measure_cycles: 10_000,
+///     seed: 7,
+///     ..SimConfig::paper_defaults(mesh)
+/// };
+/// assert_eq!(cfg.validate(), Ok(()));
+/// ```
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// The mesh to simulate.
@@ -284,13 +297,6 @@ impl SimConfig {
         }
     }
 
-    /// A builder starting from [`paper_defaults`](Self::paper_defaults).
-    pub fn builder(mesh: Mesh) -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: SimConfig::paper_defaults(mesh),
-        }
-    }
-
     /// Paper defaults specialized to a [`ChipLayout`]: the layout's mesh,
     /// topology and controller placement become the simulated chip, so a
     /// latency table built with `TileLatencies::for_layout` can be
@@ -326,9 +332,8 @@ impl SimConfig {
 
     /// Check every structural invariant the simulator relies on.
     ///
-    /// Called by [`SimConfigBuilder::build`] and
-    /// [`Network::new`](crate::network::Network::new); the error names the
-    /// first violated constraint.
+    /// Called by [`Network::new`](crate::network::Network::new); the error
+    /// names the first violated constraint.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.vcs_per_class == 0 {
             return Err(ConfigError::ZeroVcs);
@@ -360,109 +365,6 @@ impl SimConfig {
             });
         }
         Ok(())
-    }
-}
-
-/// Fluent construction of a [`SimConfig`], validated at
-/// [`build`](SimConfigBuilder::build).
-///
-/// ```
-/// use noc_model::Mesh;
-/// use noc_sim::SimConfig;
-///
-/// let cfg = SimConfig::builder(Mesh::square(8))
-///     .warmup_cycles(1_000)
-///     .measure_cycles(10_000)
-///     .seed(7)
-///     .build()
-///     .expect("valid config");
-/// assert_eq!(cfg.seed, 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
-}
-
-macro_rules! setter {
-    ($(#[$doc:meta])* $name:ident: $ty:ty) => {
-        $(#[$doc])*
-        pub fn $name(mut self, $name: $ty) -> Self {
-            self.cfg.$name = $name;
-            self
-        }
-    };
-}
-
-impl SimConfigBuilder {
-    setter!(
-        /// Network topology (default: mesh).
-        topology: Topology
-    );
-    setter!(
-        /// Memory-controller placement (default: one per corner).
-        controllers: MemoryControllers
-    );
-    setter!(
-        /// Router pipeline depth in cycles.
-        router_stages: u64
-    );
-    setter!(
-        /// Link traversal latency in cycles.
-        link_cycles: u64
-    );
-    setter!(
-        /// Virtual channels per traffic class.
-        vcs_per_class: usize
-    );
-    setter!(
-        /// Input buffer depth per VC in flits.
-        buffer_depth: usize
-    );
-    setter!(
-        /// Flits in a long (data) packet.
-        long_flits: u16
-    );
-    setter!(
-        /// Fraction of generated packets that are long.
-        long_fraction: f64
-    );
-    setter!(
-        /// Warm-up cycles excluded from measurement.
-        warmup_cycles: u64
-    );
-    setter!(
-        /// Measured cycles after warm-up.
-        measure_cycles: u64
-    );
-    setter!(
-        /// Maximum extra drain cycles after measurement.
-        max_drain_cycles: u64
-    );
-    setter!(
-        /// RNG seed for traffic generation.
-        seed: u64
-    );
-    setter!(
-        /// Injection process (Bernoulli per cycle vs geometric sampling).
-        injection: InjectionProcess
-    );
-    setter!(
-        /// Dimension-order routing variant.
-        routing: RoutingKind
-    );
-    setter!(
-        /// Enforce the crossbar's one-flit-per-input-port limit.
-        crossbar_input_limit: bool
-    );
-    setter!(
-        /// Telemetry window width in cycles.
-        telemetry_window: u64
-    );
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<SimConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -500,43 +402,6 @@ mod tests {
         assert_eq!(cfg.per_hop_cycles(), 1);
         cfg.router_stages = 2;
         assert_eq!(cfg.per_hop_cycles(), 3);
-    }
-
-    #[test]
-    fn builder_round_trips_every_field() {
-        let mesh = Mesh::square(4);
-        let cfg = SimConfig::builder(mesh)
-            .controllers(MemoryControllers::corners(&mesh))
-            .router_stages(2)
-            .link_cycles(2)
-            .vcs_per_class(2)
-            .buffer_depth(3)
-            .long_flits(4)
-            .long_fraction(0.25)
-            .warmup_cycles(100)
-            .measure_cycles(1_000)
-            .max_drain_cycles(10_000)
-            .seed(99)
-            .injection(InjectionProcess::Geometric)
-            .routing(RoutingKind::Yx)
-            .crossbar_input_limit(false)
-            .telemetry_window(250)
-            .build()
-            .expect("valid");
-        assert_eq!(cfg.router_stages, 2);
-        assert_eq!(cfg.link_cycles, 2);
-        assert_eq!(cfg.vcs_per_class, 2);
-        assert_eq!(cfg.buffer_depth, 3);
-        assert_eq!(cfg.long_flits, 4);
-        assert!((cfg.long_fraction - 0.25).abs() < 1e-12);
-        assert_eq!(cfg.warmup_cycles, 100);
-        assert_eq!(cfg.measure_cycles, 1_000);
-        assert_eq!(cfg.max_drain_cycles, 10_000);
-        assert_eq!(cfg.seed, 99);
-        assert_eq!(cfg.injection, InjectionProcess::Geometric);
-        assert_eq!(cfg.routing, RoutingKind::Yx);
-        assert!(!cfg.crossbar_input_limit);
-        assert_eq!(cfg.telemetry_window, 250);
     }
 
     #[test]
@@ -584,10 +449,7 @@ mod tests {
     #[test]
     fn vc_overflow_is_a_typed_error() {
         // 5 ports × 2·7 VCs = 70 slots > 64.
-        let err = SimConfig::builder(Mesh::square(4))
-            .vcs_per_class(7)
-            .build()
-            .unwrap_err();
+        let err = rejection(|c| c.vcs_per_class = 7);
         assert_eq!(
             err,
             ConfigError::VcOverflow {
@@ -598,45 +460,40 @@ mod tests {
         assert!(err.to_string().contains("arbitration mask"));
     }
 
+    /// The error `validate` reports for paper defaults edited by `edit`.
+    fn rejection(edit: fn(&mut SimConfig)) -> ConfigError {
+        let mut cfg = SimConfig::paper_defaults(Mesh::square(4));
+        edit(&mut cfg);
+        cfg.validate().unwrap_err()
+    }
+
     #[test]
     fn zero_parameters_are_rejected() {
-        let mesh = Mesh::square(4);
-        let b = || SimConfig::builder(mesh);
+        assert_eq!(rejection(|c| c.vcs_per_class = 0), ConfigError::ZeroVcs);
         assert_eq!(
-            b().vcs_per_class(0).build().unwrap_err(),
-            ConfigError::ZeroVcs
-        );
-        assert_eq!(
-            b().buffer_depth(0).build().unwrap_err(),
+            rejection(|c| c.buffer_depth = 0),
             ConfigError::ZeroBufferDepth
         );
+        assert_eq!(rejection(|c| c.long_flits = 0), ConfigError::ZeroLongFlits);
         assert_eq!(
-            b().long_flits(0).build().unwrap_err(),
-            ConfigError::ZeroLongFlits
-        );
-        assert_eq!(
-            b().measure_cycles(0).build().unwrap_err(),
+            rejection(|c| c.measure_cycles = 0),
             ConfigError::ZeroMeasureCycles
         );
         assert_eq!(
-            b().telemetry_window(0).build().unwrap_err(),
+            rejection(|c| c.telemetry_window = 0),
             ConfigError::BadWindow
         );
     }
 
     #[test]
     fn bad_long_fraction_is_rejected() {
-        let mesh = Mesh::square(4);
         assert_eq!(
-            SimConfig::builder(mesh)
-                .long_fraction(1.5)
-                .build()
-                .unwrap_err(),
+            rejection(|c| c.long_fraction = 1.5),
             ConfigError::BadLongFraction(1.5)
         );
-        assert!(SimConfig::builder(mesh)
-            .long_fraction(f64::NAN)
-            .build()
-            .is_err());
+        assert!(matches!(
+            rejection(|c| c.long_fraction = f64::NAN),
+            ConfigError::BadLongFraction(_)
+        ));
     }
 }

@@ -69,16 +69,18 @@
 //! draws in the exact same tile order, so a fixed seed produces
 //! bit-identical [`SimReport`]s before and after the optimization
 //! (regression-tested in `tests/sim_determinism.rs` at the workspace
-//! root). Wall-clock throughput is reported per run via
-//! [`stats::NetworkStats::cycles_per_sec`] and
-//! [`stats::NetworkStats::flit_hops_per_sec`]; benchmark with the
-//! `sim_paper` and `sim_saturated` workloads of `perfbench/`.
+//! root). A [`SimReport`] holds only what the seed determines; wall time
+//! lives in the `sim/*` phase spans of an attached metrics registry
+//! ([`Network::with_metrics`]), and a run without one reads no clock.
+//! Benchmark with the `sim_paper` and `sim_saturated` workloads of
+//! `perfbench/`.
 //!
 //! # Construction and telemetry
 //!
-//! Configuration is validated at the boundary: [`SimConfig::builder`]
-//! (or a hand-mutated [`SimConfig`]) plus a [`TrafficSpec`] go into
-//! [`Network::new`], which returns a typed [`ConfigError`] instead of
+//! Configuration is validated at the boundary: a [`SimConfig`] (plain
+//! data, usually `SimConfig { .., ..SimConfig::paper_defaults(mesh) }`)
+//! plus a [`TrafficSpec`] go into [`Network::new`], which runs
+//! [`SimConfig::validate`] and returns a typed [`ConfigError`] instead of
 //! panicking on bad parameters. [`Network::run_probed`] streams windowed
 //! telemetry (`noc-telemetry` [`WindowRecord`]s) to any probe without
 //! perturbing the simulation; [`Network::run`] is the telemetry-off path.
@@ -112,7 +114,7 @@ pub mod traffic;
 /// sinks without naming a second dependency.
 pub use noc_telemetry as telemetry;
 
-pub use config::{ConfigError, InjectionProcess, RoutingKind, SimConfig, SimConfigBuilder};
+pub use config::{ConfigError, InjectionProcess, RoutingKind, SimConfig};
 pub use network::{Network, SourceCounters, SwapController};
 pub use stats::{LatencyAccum, SimReport};
 pub use traffic::{Schedule, SourceSpec, TrafficSpec};

@@ -818,7 +818,8 @@ pub struct Network {
 }
 
 /// With metrics attached, one executed cycle in `PHASE_SAMPLE_EVERY` is
-/// wall-clock timed (DESIGN.md §17.2); every other cycle reads no clock.
+/// wall-clock timed (DESIGN.md §17.2); every other cycle reads no clock,
+/// and a run without metrics reads none at all.
 const PHASE_SAMPLE_EVERY: u64 = 64;
 
 /// The per-phase metric spans, in the order a cycle runs them.
@@ -1042,10 +1043,9 @@ impl Network {
 
     /// Attach a runtime-metrics handle (DESIGN.md §17). The run then
     /// reports `sim_*` counters (cycles, injected/delivered packets,
-    /// link traversals, skipped cycles, router steps), a
-    /// `sim_cycles_per_sec` wall gauge, the sampled
+    /// link traversals, skipped cycles, router steps), the sampled
     /// `sim/{generate,inject,route,traverse,telemetry}` phase spans and
-    /// their sum `sim/serial/cycle`.
+    /// their sum `sim/serial/cycle`, the run's only wall-clock reads.
     /// Metrics are write-only observers: results stay bit-identical to
     /// a run without the handle (the PR 2 purity contract).
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
@@ -1114,14 +1114,13 @@ impl Network {
         mut controller: Option<&mut dyn SwapController>,
     ) -> Result<SimReport, ConfigError> {
         let ctx = StepCtx::new(&self.cfg);
-        let wall_start = Instant::now();
         // Phase timing; `timed` hoists the handle check so the disabled
         // path pays one branch per phase.
         let timed = self.metrics.enabled();
         let mut samples = PhaseSamples::default();
         // Lap marks of a timed cycle: `marks[i]..marks[i + 1]` brackets
-        // phase `i` of `PHASE_SPANS`.
-        let mut marks = [wall_start; 6];
+        // phase `i` of `PHASE_SPANS`. Without metrics there are none.
+        let mut marks = timed.then(|| [Instant::now(); 6]);
         if controller.is_some() {
             self.source_accum = vec![SourceCounters::default(); self.sources.len()];
         }
@@ -1159,9 +1158,10 @@ impl Network {
             // the timed cycles depend on the seed alone and the geometric
             // fast-forward cannot skew which ones get timed.
             let sampled = timed && (cycle - self.skipped_cycles).is_multiple_of(PHASE_SAMPLE_EVERY);
+            let mut lap = marks.as_mut().filter(|_| sampled);
             let mut mark = |i: usize| {
-                if sampled {
-                    marks[i] = Instant::now();
+                if let Some(m) = lap.as_deref_mut() {
+                    m[i] = Instant::now();
                 }
             };
             mark(0);
@@ -1217,8 +1217,8 @@ impl Network {
                 self.retarget_sources(&tiles)?;
             }
             mark(5);
-            if sampled {
-                samples.add(&marks);
+            if let Some(m) = lap {
+                samples.add(m);
             }
             cycle += 1;
             // Event-horizon fast-forward: with nothing in flight (no queued
@@ -1273,12 +1273,11 @@ impl Network {
             arrival_draws: self.arrival_draws,
             skipped_cycles: self.skipped_cycles,
             router_steps: self.router_steps,
-            wall_nanos: wall_start.elapsed().as_nanos() as u64,
         };
         // Flush run totals into the metrics registry (write-only; skipped
         // entirely when the handle is disabled). Durations route through
-        // `record_span` / `wall_gauge_set`, which the logical clock zeroes
-        // so fixed-seed snapshots stay byte-identical.
+        // `record_span`, which the logical clock zeroes so fixed-seed
+        // snapshots stay byte-identical.
         if self.metrics.enabled() {
             let m = &self.metrics;
             m.add("sim_runs_total", 1);
@@ -1288,13 +1287,6 @@ impl Network {
             m.add("sim_link_flit_traversals_total", self.link_flit_traversals);
             m.add("sim_skipped_cycles_total", self.skipped_cycles);
             m.add("sim_router_steps_total", self.router_steps);
-            let wall = self.report.network.wall_nanos;
-            if wall > 0 {
-                m.wall_gauge_set(
-                    "sim_cycles_per_sec",
-                    self.cycles_run as f64 * 1e9 / wall as f64,
-                );
-            }
             samples.record(m, self.cycles_run - self.skipped_cycles);
         }
         Ok(std::mem::replace(&mut self.report, SimReport::new(0)))

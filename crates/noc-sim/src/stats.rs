@@ -34,8 +34,8 @@ pub struct NetworkStats {
     /// Cycles the event-horizon fast-forward jumped over while the network
     /// was fully quiescent (counted inside `cycles_run`). Excluded from
     /// [`semantic_eq`]: probed runs clamp jumps at telemetry window
-    /// boundaries, so like [`wall_nanos`](Self::wall_nanos) this describes
-    /// how the run executed, not what it computed.
+    /// boundaries, so this describes how the run executed, not what it
+    /// computed.
     ///
     /// [`semantic_eq`]: NetworkStats::semantic_eq
     pub skipped_cycles: u64,
@@ -48,11 +48,6 @@ pub struct NetworkStats {
     ///
     /// [`semantic_eq`]: NetworkStats::semantic_eq
     pub router_steps: u64,
-    /// Wall-clock time of the whole `run()` call, in nanoseconds.
-    /// Nondeterministic; excluded from [`semantic_eq`].
-    ///
-    /// [`semantic_eq`]: NetworkStats::semantic_eq
-    pub wall_nanos: u64,
 }
 
 impl NetworkStats {
@@ -73,28 +68,10 @@ impl NetworkStats {
         }
     }
 
-    /// Simulator throughput: simulated cycles per wall-clock second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.cycles_run as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
-    /// Work throughput: link flit-traversals per wall-clock second.
-    pub fn flit_hops_per_sec(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            0.0
-        } else {
-            self.link_flit_traversals as f64 * 1e9 / self.wall_nanos as f64
-        }
-    }
-
     /// Equality of everything the simulation semantics determine — i.e.
-    /// all counters except the wall-clock measurement, the fast-forward
-    /// jump tally (see [`skipped_cycles`](Self::skipped_cycles)) and the
-    /// router-step count.
+    /// all counters except the fast-forward jump tally (see
+    /// [`skipped_cycles`](Self::skipped_cycles)) and the router-step
+    /// count.
     pub fn semantic_eq(&self, other: &NetworkStats) -> bool {
         self.link_flit_traversals == other.link_flit_traversals
             && self.peak_buffered_flits == other.peak_buffered_flits
@@ -204,9 +181,10 @@ impl SimReport {
     }
 
     /// Equality of everything a fixed seed determines: every accumulator
-    /// (bit-for-bit, including f64 sums) and every network counter except
-    /// the wall-clock time. Two runs of the same seeded scenario must
-    /// satisfy `a.semantic_eq(&b)` — the regression tests rely on it.
+    /// (bit-for-bit, including f64 sums) and the network counters
+    /// [`NetworkStats::semantic_eq`] compares. Two runs of the same seeded
+    /// scenario must satisfy `a.semantic_eq(&b)` — the regression tests
+    /// rely on it.
     pub fn semantic_eq(&self, other: &SimReport) -> bool {
         self.groups == other.groups
             && self.per_source == other.per_source

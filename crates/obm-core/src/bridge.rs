@@ -145,12 +145,12 @@ mod tests {
         let inst = fig5_instance();
         let mapping = SortSelectSwap::default().map(&inst, 0);
         let mesh = Mesh::square(4);
-        let cfg = noc_sim::SimConfig::builder(mesh)
-            .warmup_cycles(200)
-            .measure_cycles(1_000)
-            .seed(9)
-            .build()
-            .expect("valid config");
+        let cfg = noc_sim::SimConfig {
+            warmup_cycles: 200,
+            measure_cycles: 1_000,
+            seed: 9,
+            ..noc_sim::SimConfig::paper_defaults(mesh)
+        };
         let report = noc_sim::Network::new(cfg, traffic_spec(&inst, &mapping))
             .expect("valid scenario")
             .run();

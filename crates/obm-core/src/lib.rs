@@ -9,7 +9,6 @@
 //! * [`batch`] — the flat SoA evaluation tables (precomputed Eq. 13 cost
 //!   matrix) every solver hot path reads, and the batched
 //!   [`BatchEvaluator`] with its deterministic parallel `eval_many`;
-//! * [`metrics`] — the balance-metric comparison of Section III.A;
 //! * [`sam`] — the Hungarian-based single-application solve (Algorithm 1);
 //! * [`algorithms`] — the proposed [`algorithms::SortSelectSwap`]
 //!   (Algorithm 2) plus the paper's comparison algorithms
@@ -74,7 +73,6 @@ pub mod bridge;
 pub mod cancel;
 pub mod dynamic;
 pub mod eval;
-pub mod metrics;
 pub mod objective;
 pub mod oversub;
 pub mod placement;
@@ -91,7 +89,6 @@ pub use bridge::{piecewise_traffic_spec, traffic_spec};
 pub use cancel::CancelToken;
 pub use dynamic::RemapOutcome;
 pub use eval::{evaluate, weighted_max_apl, AplReport, IncrementalEvaluator};
-pub use metrics::BalanceMetric;
 pub use objective::{
     migration_distance, refine_for_objective, threads_moved, Energy, MaxMinBalance,
     MigrationPenalized, MinMaxApl, Objective, ObjectiveSpec,

@@ -47,7 +47,7 @@ use obm_core::{
 };
 
 use crate::checkpoint::{mapping_from_tiles, Checkpoint, CompletedTask, Fingerprint};
-use crate::outcome::{SolveOutcome, SolveStats, Termination};
+use crate::outcome::{task_span_path, SolveOutcome, SolveStats, Termination};
 use crate::request::{Algorithm, SolveRequest};
 
 /// One (algorithm × seed) unit of work, identified by its rank.
@@ -69,8 +69,6 @@ struct TaskResult {
     value: f64,
     mapping: Mapping,
     events: Vec<SolverEvent>,
-    /// Wall-clock run time (telemetry only; zero for resumed tasks).
-    wall_nanos: u64,
 }
 
 /// Atomic minimum over `f64` bit patterns (the shared incumbent bound).
@@ -349,11 +347,11 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
     let aggressive = req.aggressive_pruning;
     let fresh = obm_core::pool::run_indexed(req.workers, runnable.len(), |i| {
         let t = &tasks[runnable[i]];
-        // One aggregated span per task identity; purely observational
-        // (recorded on drop, never read back).
+        // One aggregated span per task identity: the task's wall time,
+        // recorded on drop and read back only by reports.
         let _task_span = metrics
             .enabled()
-            .then(|| metrics.span(&format!("portfolio/task/{}-s{}", t.name, t.seed)));
+            .then(|| metrics.span(&task_span_path(t.name, t.seed)));
         let mut buf = BufferProbe {
             enabled: capture,
             events: Vec::new(),
@@ -363,7 +361,6 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
         let incumbent = (aggressive && min_max)
             .then(|| bound.load())
             .filter(|b| b.is_finite());
-        let started = std::time::Instant::now();
         let m = run_task(t, inst, &token, &mut buf, incumbent, &shared)?;
         // Every algorithm searches the min-max landscape natively; under
         // another objective each result is polished by the same
@@ -376,13 +373,11 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
             refine_for_objective(inst, m, obj.as_ref(), OBJECTIVE_REFINE_PASSES)
         };
         let value = score(inst, objective, &m);
-        let wall_nanos = started.elapsed().as_nanos() as u64;
         bound.update_min(value);
         Some(TaskResult {
             value,
             mapping: m,
             events: buf.events,
-            wall_nanos,
         })
     });
 
@@ -398,7 +393,6 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
                 value: *value,
                 mapping: m.clone(),
                 events: Vec::new(),
-                wall_nanos: 0,
             });
         }
     }
@@ -452,30 +446,19 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
     let stats: Vec<SolveStats> = tasks
         .iter()
         .enumerate()
-        .map(|(i, t)| {
-            let wall_nanos = results[i].as_ref().map_or(0, |r| r.wall_nanos);
-            // Throughput only for fresh completed runs with measurable
-            // wall time (resumed/dropped/cancelled tasks report None).
-            let evals_per_sec = (wall_nanos > 0 && t.evals > 0 && results[i].is_some())
-                .then(|| t.evals as f64 * 1e9 / wall_nanos as f64);
-            SolveStats {
-                task: t.rank,
-                algo: t.name,
-                seed: t.seed,
-                objective: results[i].as_ref().map(|r| r.value),
-                evaluations: t.evals,
-                resumed: t.resumed.is_some(),
-                wall_nanos,
-                evals_per_sec,
-            }
+        .map(|(i, t)| SolveStats {
+            task: t.rank,
+            algo: t.name,
+            seed: t.seed,
+            objective: results[i].as_ref().map(|r| r.value),
+            evaluations: t.evals,
+            resumed: t.resumed.is_some(),
         })
         .collect();
 
     // Publish run-level metrics (DESIGN.md §17). This happens after the
     // merge and is write-only, so it can never feed back into the
-    // winner, the stats, or the checkpoint — the registry-backed gauges
-    // are also what `obm solve` prints, so the table and the snapshot
-    // can never disagree.
+    // winner, the stats, or the checkpoint.
     let metrics = &req.metrics;
     if metrics.enabled() {
         metrics.inc("portfolio_solves_total");
@@ -500,18 +483,6 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
         }
         metrics.add("portfolio_incumbent_improvements_total", improvements);
         metrics.gauge_set("portfolio_workers", req.workers as f64);
-        let (timed_evals, timed_nanos) = stats
-            .iter()
-            .filter(|s| s.objective.is_some() && s.wall_nanos > 0 && !s.resumed)
-            .fold((0u64, 0u64), |(e, n), s| {
-                (e + s.evaluations, n + s.wall_nanos)
-            });
-        if timed_nanos > 0 {
-            metrics.wall_gauge_set(
-                "portfolio_evals_per_sec",
-                timed_evals as f64 * 1e9 / timed_nanos as f64,
-            );
-        }
     }
 
     let checkpoint = Checkpoint {
@@ -679,7 +650,7 @@ mod tests {
         let [sa, hybrid] = &out.stats[..] else {
             panic!("expected two tasks, got {:?}", out.stats);
         };
-        assert_eq!((sa.algo, sa.evaluations, sa.evals_per_sec), ("SA", 0, None));
+        assert_eq!((sa.algo, sa.evaluations), ("SA", 0));
         assert_eq!((hybrid.algo, hybrid.evaluations), ("SSS+SA", 1));
     }
 

@@ -48,14 +48,26 @@ pub struct SolveStats {
     /// Whether the task's result came from a resume checkpoint instead
     /// of a fresh run.
     pub resumed: bool,
-    /// Wall-clock nanoseconds the task spent running. Telemetry only —
-    /// never feeds the merge, fingerprint, or checkpoint, so determinism
-    /// is unaffected. Zero for dropped, resumed, or never-started tasks.
-    pub wall_nanos: u64,
-    /// Measured evaluation throughput: budgeted evaluations ÷ wall time.
-    /// `None` when the task did not finish a fresh run (dropped, resumed,
-    /// cancelled) or ran too fast to time.
-    pub evals_per_sec: Option<f64>,
+}
+
+impl SolveStats {
+    /// Whether the task finished a fresh run in this solve: not resumed,
+    /// dropped or cancelled. Exactly these tasks' spans
+    /// ([`span_path`](Self::span_path)) time a whole run.
+    pub fn ran(&self) -> bool {
+        self.objective.is_some() && !self.resumed
+    }
+
+    /// Path of the span that times this task in the request's metrics
+    /// registry (DESIGN.md §17): `portfolio/task/<algo>-s<seed>`.
+    pub fn span_path(&self) -> String {
+        task_span_path(self.algo, self.seed)
+    }
+}
+
+/// The span path of the task running `algo` under `seed`.
+pub(crate) fn task_span_path(algo: &str, seed: u64) -> String {
+    format!("portfolio/task/{algo}-s{seed}")
 }
 
 /// The result of racing a portfolio.

@@ -23,12 +23,12 @@ fn main() {
     let inst = ObmInstance::new(tiles, workload.boundaries(), c, m);
     let mapping = SortSelectSwap::default().map(&inst, 0);
 
-    let cfg = SimConfig::builder(mesh)
-        .warmup_cycles(2_000)
-        .measure_cycles(20_000)
-        .seed(11)
-        .build()
-        .expect("paper defaults are valid");
+    let cfg = SimConfig {
+        warmup_cycles: 2_000,
+        measure_cycles: 20_000,
+        seed: 11,
+        ..SimConfig::paper_defaults(mesh)
+    };
     let mut sink = RingSink::new(64);
     println!("== simulating 20k cycles of C1 traffic under a spatial probe…");
     let report = Network::new(cfg, traffic_spec(&inst, &mapping))

@@ -7,9 +7,11 @@
 //! objective, on the paper's 8×8 chip and on a 9×9 chip with 17 spare
 //! tiles, and under a `--max-evals` budget of 520 000. For each scenario it
 //! prints how often each member wins the race, its share of the race's
-//! task wall time, and for the min-max objective how far the best MC task
-//! ended above the winner. MC ranks last, so a scenario whose MC column
-//! reads 0 wins races exactly the same without it.
+//! task wall time (the `portfolio/task/*` spans of a metrics registry all
+//! the scenario's races report into), and for the min-max objective how
+//! far the best MC task ended above the winner. MC ranks last, so a
+//! scenario whose MC column reads 0 wins races exactly the same without
+//! it.
 //!
 //! ```text
 //! cargo run --release --example portfolio_lineup_study
@@ -17,7 +19,7 @@
 
 use obm::mapping::algorithms::MonteCarlo;
 use obm::model::{Mesh, TileLatencies};
-use obm::prelude::{Algorithm, ObjectiveSpec, ObmInstance, SolveRequest};
+use obm::prelude::{Algorithm, MetricsRegistry, ObjectiveSpec, ObmInstance, SolveRequest};
 use obm::workload::{PaperConfig, WorkloadBuilder};
 
 const MEMBERS: [&str; 5] = ["SSS", "SSS+SA", "SA", "Greedy", "MC"];
@@ -62,6 +64,7 @@ fn member(name: &str) -> usize {
 fn study(mesh_side: usize, objective: ObjectiveSpec, max_evals: Option<u64>) -> Tally {
     let seeds: Vec<u64> = [1, 2014].into_iter().chain(100..120).collect();
     let mut tally = Tally::default();
+    let registry = MetricsRegistry::new();
     for cfg in PaperConfig::ALL {
         for &seed in &seeds {
             let inst = instance(cfg, seed, mesh_side);
@@ -69,16 +72,14 @@ fn study(mesh_side: usize, objective: ObjectiveSpec, max_evals: Option<u64>) -> 
                 .algorithms(five_member())
                 .seeds([0, 1, 2, 3])
                 .objective(objective)
-                .workers(1);
+                .workers(1)
+                .metrics(registry.handle());
             if let Some(evals) = max_evals {
                 builder = builder.max_evaluations(evals);
             }
             let out = builder.build().expect("valid request").solve();
             tally.races += 1;
             tally.wins[member(out.winner)] += 1;
-            for s in &out.stats {
-                tally.nanos[member(s.algo)] += s.wall_nanos;
-            }
             let best_mc = out
                 .stats
                 .iter()
@@ -90,6 +91,15 @@ fn study(mesh_side: usize, objective: ObjectiveSpec, max_evals: Option<u64>) -> 
                 let (lo, hi) = tally.mc_gap.unwrap_or((gap, gap));
                 tally.mc_gap = Some((lo.min(gap), hi.max(gap)));
             }
+        }
+    }
+    // Each span sums one task identity's runs over every race above.
+    for (path, span) in &registry.snapshot().spans {
+        if let Some((algo, _seed)) = path
+            .strip_prefix("portfolio/task/")
+            .and_then(|task| task.rsplit_once("-s"))
+        {
+            tally.nanos[member(algo)] += span.total_nanos;
         }
     }
     tally

@@ -6,7 +6,7 @@
 //!    and the sampled `sim/{generate,inject,route,traverse,telemetry}`
 //!    phase spans with their sum `sim/serial/cycle`;
 //! 2. **portfolio** — a solver race reports task spans, evaluation
-//!    counters and throughput gauges;
+//!    counters and the workers gauge;
 //! 3. **placement** — `co_optimize` reports candidate/memo/inner-solve
 //!    counters and the inner-solve span;
 //! 4. **remap** — a closed-loop `RemapController` run reports window,

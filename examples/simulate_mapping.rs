@@ -16,12 +16,12 @@ use obm::prelude::*;
 /// the report and the peak measure-window buffered-flit occupancy.
 fn simulate(inst: &ObmInstance, mapping: &Mapping, seed: u64) -> (SimReport, usize) {
     let mesh = Mesh::square(8);
-    let cfg = SimConfig::builder(mesh)
-        .warmup_cycles(5_000)
-        .measure_cycles(60_000)
-        .seed(seed)
-        .build()
-        .expect("paper defaults with a longer run are valid");
+    let cfg = SimConfig {
+        warmup_cycles: 5_000,
+        measure_cycles: 60_000,
+        seed,
+        ..SimConfig::paper_defaults(mesh)
+    };
     let mut sink = RingSink::new(4096);
     let report = Network::new(cfg, traffic_spec(inst, mapping))
         .expect("valid scenario")

@@ -60,7 +60,11 @@
 #                         way: family grep on the Prometheus text
 #                         (sim_router_steps_total included) and
 #                         byte-determinism across two same-seed runs
-#                         under OBM_METRICS_CLOCK=logical; the removed
+#                         under OBM_METRICS_CLOCK=logical, of the
+#                         snapshots and of the printed stdout of the
+#                         default `obm solve` race and `obm experiments
+#                         validate --fast` (every printed rate is read
+#                         from spans, which that clock zeroes); the removed
 #                         `experiments --shards` option must exit 2
 #                         with a usage error, not panic or run;
 #                         robustness smoke: `obm solve` on a one-tile
@@ -289,12 +293,24 @@ for family in portfolio_solves_total portfolio_tasks_total \
     grep -q "^$family " "$smokedir/solve.prom" \
         || { echo "metrics family $family missing from solve snapshot"; exit 1; }
 done
+# Printed rates are work ÷ span time read from the registry, so under the
+# logical clock two same-seed runs print the same bytes too.
+for run in 1 2; do
+    OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" \
+        --metrics "$smokedir/race$run.prom" > "$smokedir/race$run.txt"
+    OBM_METRICS_CLOCK=logical "$obm" experiments validate --fast \
+        --metrics "$smokedir/validate$run.prom" > "$smokedir/validate$run.txt"
+done
+cmp "$smokedir/race1.txt" "$smokedir/race2.txt" \
+    || { echo "obm solve stdout differs across two same-seed logical-clock runs"; exit 1; }
+cmp "$smokedir/validate1.txt" "$smokedir/validate2.txt" \
+    || { echo "experiments validate stdout differs across two logical-clock runs"; exit 1; }
 "$obm" status "$smokedir/sim.prom" "$smokedir/solve.prom" > "$smokedir/status.txt"
 grep -q "2 snapshots merged" "$smokedir/status.txt" \
     || { echo "obm status did not merge both snapshots"; exit 1; }
 grep -q "sim_cycles_total" "$smokedir/status.txt" \
     || { echo "obm status dashboard missing sim counters"; exit 1; }
-echo "--> metrics: deterministic logical-clock snapshots, status renders $(wc -l < "$smokedir/status.txt") lines"
+echo "--> metrics: deterministic logical-clock snapshots and printouts, status renders $(wc -l < "$smokedir/status.txt") lines"
 
 echo "==> CLI usage smoke: experiments --shards is rejected"
 # The row-band shard engine and its knobs are gone (DESIGN.md §16.5); the

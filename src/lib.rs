@@ -82,8 +82,8 @@ pub mod prelude {
         SolveRequest, SolveStats, Termination,
     };
     pub use crate::sim::{
-        ConfigError, Network, Schedule, SimConfig, SimConfigBuilder, SimReport, SourceCounters,
-        SourceSpec, SwapController, TrafficSpec,
+        ConfigError, Network, Schedule, SimConfig, SimReport, SourceCounters, SourceSpec,
+        SwapController, TrafficSpec,
     };
     pub use crate::telemetry::{
         FlowSummary, HeatmapRecord, JsonLinesSink, LatencyAccum, LatencyHistogram, NoopSink,

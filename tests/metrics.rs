@@ -79,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Purity, simulator side: metrics-on and metrics-off runs of the
-    /// same seeded scenario are bit-identical (wall clock excluded), for
+    /// same seeded scenario are bit-identical, for
     /// random loads and both injection processes — and the registry's
     /// counters reconcile exactly with the `NetworkStats` the run
     /// returned.

@@ -24,12 +24,12 @@ fn simulate(
     cycles: u64,
 ) -> obm::sim::SimReport {
     let mesh = Mesh::square(8);
-    let cfg = SimConfig::builder(mesh)
-        .warmup_cycles(2_000)
-        .measure_cycles(cycles)
-        .seed(11)
-        .build()
-        .expect("valid config");
+    let cfg = SimConfig {
+        warmup_cycles: 2_000,
+        measure_cycles: cycles,
+        seed: 11,
+        ..SimConfig::paper_defaults(mesh)
+    };
     Network::new(cfg, traffic_spec(inst, mapping))
         .expect("valid scenario")
         .run()
