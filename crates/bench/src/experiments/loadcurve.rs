@@ -55,14 +55,10 @@ fn run_point(
     (report, peak_window_buffered, p99)
 }
 
-/// Sweeps default to geometric injection: the points are latency
-/// *statistics* at an offered load, not seeded replays, so the fast path's
-/// different RNG stream is free speedup.
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
+/// The points are latency *statistics* at an offered load, not seeded
+/// replays, so the geometric fast path's different RNG stream (the CLI's
+/// default `injection`) is free speedup.
+pub fn run(fast: bool, injection: InjectionProcess) -> String {
     let cycles: u64 = if fast { 10_000 } else { 40_000 };
     let rates: &[f64] = if fast {
         &[4.0, 16.0, 48.0]
@@ -124,7 +120,7 @@ mod tests {
     #[test]
     #[ignore = "runs the cycle-level simulator; exercised by `experiments loadcurve`"]
     fn loadcurve_runs() {
-        let out = super::run(true);
+        let out = super::run(true, noc_sim::InjectionProcess::Geometric);
         assert!(out.contains("Load curve"));
     }
 }

@@ -1,6 +1,6 @@
-//! One module per table/figure of the paper. Each `run()` returns the
-//! formatted output block; the `experiments` binary dispatches on the
-//! experiment id and prints it.
+//! One module per table/figure of the paper. Each `run` returns the
+//! formatted output block; `obm experiments <id>...` looks the id up in
+//! [`ALL`] and prints it.
 
 pub mod ablation;
 pub mod fig12;
@@ -25,100 +25,55 @@ pub mod torus;
 pub mod validate;
 pub mod weighted;
 
-/// All experiment ids: the paper's tables/figures in order, then the
-/// validation pass and this repo's extension studies.
-pub const ALL: &[&str] = &[
-    "table1",
-    "table3",
-    "table4",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "validate",
-    "ablation",
-    "loadcurve",
-    "scaling",
-    "weighted",
-    "torus",
-    "firstprinciples",
-    "optgap",
-    "queueing",
-    "fig3sim",
-    "oversub",
-    "nocparams",
-    "tails",
-    "placement",
+/// How [`ALL`] runs one experiment: `fast` trims sample counts /
+/// simulated cycles so the full suite stays CI-friendly; `injection` is
+/// the traffic-source process of the simulator sweeps (`loadcurve`,
+/// `validate`, `tails`; ids pinned to the default Bernoulli stream ignore
+/// it); `validate` reports into `metrics`.
+pub type Run = fn(bool, noc_sim::InjectionProcess, &noc_metrics::MetricsHandle) -> String;
+
+/// Every experiment, id and runner: the paper's tables/figures in order,
+/// then the validation pass and this repo's extension studies.
+pub const ALL: &[(&str, Run)] = &[
+    ("table1", |fast, _, _| table1::run(fast)),
+    ("table3", |_, _, _| table3::run()),
+    ("table4", |_, _, _| lineup_views::run_table4()),
+    ("fig3", |_, _, _| fig3::run()),
+    ("fig4", |_, _, _| fig4::run()),
+    ("fig5", |_, _, _| fig5::run()),
+    ("fig8", |_, _, _| fig8::run()),
+    ("fig9", |_, _, _| lineup_views::run_fig9()),
+    ("fig10", |_, _, _| lineup_views::run_fig10()),
+    ("fig11", |_, _, _| lineup_views::run_fig11()),
+    ("fig12", |fast, _, _| fig12::run(fast)),
+    ("validate", validate::run),
+    ("ablation", |_, _, _| ablation::run()),
+    ("loadcurve", |fast, injection, _| {
+        loadcurve::run(fast, injection)
+    }),
+    ("scaling", |fast, _, _| scaling::run(fast)),
+    ("weighted", |_, _, _| weighted::run()),
+    ("torus", |_, _, _| torus::run()),
+    ("firstprinciples", |fast, _, _| firstprinciples::run(fast)),
+    ("optgap", |fast, _, _| optgap::run(fast)),
+    ("queueing", |fast, _, _| queueing::run(fast)),
+    ("fig3sim", |fast, _, _| fig3sim::run(fast)),
+    ("oversub", |_, _, _| oversub::run()),
+    ("nocparams", |fast, _, _| nocparams::run(fast)),
+    ("tails", |fast, injection, _| tails::run(fast, injection)),
+    ("placement", |fast, _, _| placement::run(fast)),
 ];
 
-/// Run one experiment by id. `fast` trims sample counts / simulated cycles
-/// so the full suite stays CI-friendly. Sweep-style experiments
-/// (`loadcurve`, `validate`, `tails`) use geometric injection by default;
-/// [`run_with`] overrides the process.
-pub fn run(id: &str, fast: bool) -> Option<String> {
-    run_with(id, fast, noc_sim::InjectionProcess::Geometric)
-}
-
-/// [`run`] with an explicit injection process for the simulator-sweep
-/// experiments. Ids whose output is pinned to the default Bernoulli RNG
-/// stream (seeded replays, golden comparisons) ignore `injection`.
-pub fn run_with(id: &str, fast: bool, injection: noc_sim::InjectionProcess) -> Option<String> {
-    run_with_metrics(id, fast, injection, &noc_metrics::MetricsHandle::disabled())
-}
-
-/// [`run_with`] reporting into a metrics registry (DESIGN.md §17,
-/// `obm experiments <id> --metrics`). Every experiment counts its run
-/// under `experiment_runs_total`; `validate` additionally publishes its
-/// throughput/parallelism gauges and the portfolio instrumentation.
-pub fn run_with_metrics(
+/// Run one experiment by id (`None` for an unknown id), counting the run
+/// under `experiment_runs_total` in `metrics` (DESIGN.md §17).
+pub fn run(
     id: &str,
     fast: bool,
     injection: noc_sim::InjectionProcess,
     metrics: &noc_metrics::MetricsHandle,
 ) -> Option<String> {
-    let out = dispatch(id, fast, injection, metrics);
-    if out.is_some() {
-        metrics.inc("experiment_runs_total");
-    }
-    out
-}
-
-fn dispatch(
-    id: &str,
-    fast: bool,
-    injection: noc_sim::InjectionProcess,
-    metrics: &noc_metrics::MetricsHandle,
-) -> Option<String> {
-    Some(match id {
-        "table1" => table1::run(fast),
-        "table3" => table3::run(),
-        "table4" => lineup_views::run_table4(),
-        "fig3" => fig3::run(),
-        "fig4" => fig4::run(),
-        "fig5" => fig5::run(),
-        "fig8" => fig8::run(),
-        "fig9" => lineup_views::run_fig9(),
-        "fig10" => lineup_views::run_fig10(),
-        "fig11" => lineup_views::run_fig11(),
-        "fig12" => fig12::run(fast),
-        "validate" => validate::run_with_metrics(fast, injection, metrics),
-        "ablation" => ablation::run(),
-        "loadcurve" => loadcurve::run_with(fast, injection),
-        "scaling" => scaling::run(fast),
-        "weighted" => weighted::run(),
-        "torus" => torus::run(),
-        "firstprinciples" => firstprinciples::run(fast),
-        "optgap" => optgap::run(fast),
-        "queueing" => queueing::run(fast),
-        "fig3sim" => fig3sim::run(fast),
-        "oversub" => oversub::run(),
-        "nocparams" => nocparams::run(fast),
-        "tails" => tails::run_with(fast, injection),
-        "placement" => placement::run(fast),
-        _ => return None,
-    })
+    let (_, run) = ALL.iter().find(|(name, _)| *name == id)?;
+    let out = run(fast, injection, metrics);
+    metrics.inc("experiment_runs_total");
+    Some(out)
 }

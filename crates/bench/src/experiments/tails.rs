@@ -16,13 +16,9 @@ use noc_sim::InjectionProcess;
 use obm_core::algorithms::{Global, Mapper, SortSelectSwap};
 use workload::PaperConfig;
 
-/// Sweeps default to geometric injection (percentiles are distribution
-/// statistics, not seeded replays).
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
+/// `injection` is free (the CLI defaults to geometric): percentiles are
+/// distribution statistics, not seeded replays.
+pub fn run(fast: bool, injection: InjectionProcess) -> String {
     let cycles = if fast { 40_000 } else { 150_000 };
     let pi = paper_instance(PaperConfig::C1);
     let mut t = MarkdownTable::new(vec![
@@ -79,7 +75,7 @@ mod tests {
     #[test]
     #[ignore = "runs the cycle-level simulator; exercised by `experiments tails`"]
     fn tails_runs() {
-        let out = super::run(true);
+        let out = super::run(true, noc_sim::InjectionProcess::Geometric);
         assert!(out.contains("Tail latency"));
         assert!(out.contains("p99"));
     }

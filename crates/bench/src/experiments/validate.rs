@@ -8,7 +8,7 @@ use crate::harness::{all_paper_instances, paper_instance};
 use crate::pool;
 use crate::sim_bridge::paper_network;
 use crate::table::{f, MarkdownTable};
-use noc_metrics::{per_sec, MetricsHandle, MetricsRegistry};
+use noc_metrics::{per_sec, MetricsHandle};
 use noc_sim::telemetry::{Phase, RingSink};
 use noc_sim::InjectionProcess;
 use obm_core::algorithms::{Mapper, MonteCarlo, SimulatedAnnealing, SortSelectSwap};
@@ -16,32 +16,16 @@ use obm_core::evaluate;
 use obm_portfolio::{Algorithm, SolveRequest};
 use workload::PaperConfig;
 
-/// Sweeps default to geometric injection (the validation compares latency
-/// *statistics* against the analytic model, not a seeded replay).
-pub fn run(fast: bool) -> String {
-    run_with(fast, InjectionProcess::Geometric)
-}
-
-pub fn run_with(fast: bool, injection: InjectionProcess) -> String {
-    run_with_metrics(fast, injection, &MetricsHandle::disabled())
-}
-
-/// [`run_with`] reporting into a metrics registry (DESIGN.md §17). Each
-/// configuration's simulation runs inside a `validate/sim/<cfg>` span,
-/// and every printed rate is work ÷ span time read back from the
-/// registry, as are the parallelism gauges, so the report and an
-/// exported snapshot can never disagree. With a disabled handle a
-/// private registry is used — it still backs the printout.
-pub fn run_with_metrics(
-    fast: bool,
-    injection: InjectionProcess,
-    metrics: &MetricsHandle,
-) -> String {
-    let metrics = if metrics.enabled() {
-        metrics.clone()
-    } else {
-        MetricsRegistry::new().handle()
-    };
+/// `injection` is free (the CLI defaults to geometric): the validation
+/// compares latency *statistics* against the analytic model, not a seeded
+/// replay.
+///
+/// Reports into `metrics` (DESIGN.md §17), which must be an enabled
+/// handle: each configuration's simulation runs inside a
+/// `validate/sim/<cfg>` span, and every printed rate is work ÷ span time
+/// read back from the registry, as are the parallelism gauges, so the
+/// report and an exported snapshot can never disagree.
+pub fn run(fast: bool, injection: InjectionProcess, metrics: &MetricsHandle) -> String {
     let cycles = if fast { 40_000 } else { 200_000 };
     let instances = if fast {
         vec![
@@ -203,7 +187,8 @@ mod tests {
     #[test]
     #[ignore = "runs the cycle-level simulator; exercised by `experiments validate`"]
     fn validate_runs() {
-        let out = super::run(true);
+        let metrics = noc_metrics::MetricsRegistry::new().handle();
+        let out = super::run(true, noc_sim::InjectionProcess::Geometric, &metrics);
         assert!(out.contains("Validation"));
     }
 }

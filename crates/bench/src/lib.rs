@@ -1,6 +1,6 @@
 //! Experiment harness for the IPDPS'14 OBM reproduction: regenerates every
 //! table and figure of the paper's evaluation (run
-//! `cargo run --release -p obm-bench --bin experiments -- all`).
+//! `cargo run --release -p obm-cli -- experiments all`).
 //! Performance is benchmarked by `perfbench/`, outside the workspace.
 
 #![forbid(unsafe_code)]

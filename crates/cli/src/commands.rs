@@ -2,7 +2,7 @@
 //! tests can drive them without a process boundary.
 
 use crate::spec::{spec_from_workload, ControllerSpec, InstanceSpec};
-use noc_metrics::{per_sec, MetricsHandle, MetricsRegistry, MetricsSnapshot};
+use noc_metrics::{per_sec, MetricsHandle, MetricsSnapshot};
 use noc_model::{
     ChipLayout, LatencyParams, MemoryControllers, Mesh, TileId, TileLatencies, Topology,
 };
@@ -686,9 +686,10 @@ pub struct SolveArgs<'a> {
     pub resume_json: Option<&'a str>,
     /// `--topology`/`--mcs` overrides.
     pub layout: LayoutFlags<'a>,
-    /// `--metrics` registry handle (disabled when the flag is absent; the
-    /// command then opens a private registry so the printed parallelism
-    /// and throughput figures are still registry-backed).
+    /// The registry the race reports into and the printed parallelism and
+    /// throughput figures are read back from. It must be enabled (`main`
+    /// opens one on the `OBM_METRICS_CLOCK` clock even without
+    /// `--metrics`); a disabled handle prints zeros.
     pub metrics: MetricsHandle,
 }
 
@@ -742,16 +743,7 @@ pub fn solve_command(spec_text: &str, args: &SolveArgs) -> Result<(String, Strin
     let algorithms = portfolio_algorithms(args.algos, objective)?;
     let seeds = parse_seed_list(args.seeds)?;
 
-    // Registry-backed reporting: with no `--metrics` flag the passed
-    // handle is disabled, so open a private registry — the parallelism
-    // and throughput figures below are read back from its gauges and
-    // task spans either way, keeping report and snapshot in lockstep.
-    let metrics = if args.metrics.enabled() {
-        args.metrics.clone()
-    } else {
-        MetricsRegistry::new().handle()
-    };
-
+    let metrics = &args.metrics;
     let mut builder = SolveRequest::builder(&inst)
         .algorithms(algorithms)
         .seeds(seeds)
@@ -1031,6 +1023,7 @@ pub fn status_command(paths: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_metrics::MetricsRegistry;
 
     const SPEC: &str = "\
 mesh 4 4
@@ -1416,7 +1409,7 @@ thread 5.0 0.7
             objective: "min-max-apl",
             resume_json: resume,
             layout: LayoutFlags::default(),
-            metrics: MetricsHandle::disabled(),
+            metrics: MetricsRegistry::new().handle(),
         }
     }
 

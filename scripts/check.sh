@@ -64,14 +64,17 @@
 #                         snapshots and of the printed stdout of the
 #                         default `obm solve` race and `obm experiments
 #                         validate --fast` (every printed rate is read
-#                         from spans, which that clock zeroes); the removed
-#                         `experiments --shards` option must exit 2
-#                         with a usage error, not panic or run;
+#                         from spans, which that clock zeroes), and of
+#                         `obm solve` without `--metrics` (the clock
+#                         still applies); the removed
+#                         `obm experiments --shards` option must exit 2
+#                         with the usage text, not panic or run;
 #                         robustness smoke: `obm solve` on a one-tile
 #                         chip finishes under `timeout 20`, `obm exact`
 #                         on it prints no NaN or inf, and a spec
-#                         with a zero-volume app and `obm latency
-#                         --mesh 0` exit 2
+#                         with a zero-volume app, `obm latency
+#                         --mesh 0` and the misspelt `obm solve
+#                         --seed 7` exit 2
 #   6a. resume smoke     — `obm solve --checkpoint` writes a checkpoint,
 #                         one of its mappings gets a repeated tile, and
 #                         `obm solve --resume` must exit 0, re-running
@@ -100,15 +103,17 @@
 #                         a mid-run controller must never abort a
 #                         simulation), the ChipLayout/placement
 #                         constructors and the outer placement search
-#                         (typed PlacementError), or the
+#                         (typed PlacementError), the
 #                         noc-metrics registry (a metrics write must
 #                         never abort the run it observes — poisoned
 #                         locks are recovered, snapshot parsing
-#                         returns SnapshotError)
+#                         returns SnapshotError), or the `obm` command-
+#                         line parser (every bad spelling is a usage
+#                         error, exit 2)
 #
 # The tier-1 commands match ROADMAP.md; `--workspace` matters because the
 # root package is a facade crate and a bare `cargo build` would silently
-# skip obm-bench and the vendored crates.
+# skip obm-cli (the `obm` binary) and the vendored crates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -305,6 +310,12 @@ cmp "$smokedir/race1.txt" "$smokedir/race2.txt" \
     || { echo "obm solve stdout differs across two same-seed logical-clock runs"; exit 1; }
 cmp "$smokedir/validate1.txt" "$smokedir/validate2.txt" \
     || { echo "experiments validate stdout differs across two logical-clock runs"; exit 1; }
+# The clock is read once for every registry, not only for `--metrics`.
+for run in 1 2; do
+    OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" > "$smokedir/bare$run.txt"
+done
+cmp "$smokedir/bare1.txt" "$smokedir/bare2.txt" \
+    || { echo "obm solve stdout without --metrics differs across two logical-clock runs"; exit 1; }
 "$obm" status "$smokedir/sim.prom" "$smokedir/solve.prom" > "$smokedir/status.txt"
 grep -q "2 snapshots merged" "$smokedir/status.txt" \
     || { echo "obm status did not merge both snapshots"; exit 1; }
@@ -315,14 +326,13 @@ echo "--> metrics: deterministic logical-clock snapshots and printouts, status r
 echo "==> CLI usage smoke: experiments --shards is rejected"
 # The row-band shard engine and its knobs are gone (DESIGN.md §16.5); the
 # old flag must be a usage error (exit 2), never a panic or a silent run.
-experiments=target/release/experiments
 set +e
-"$experiments" validate --fast --shards 2 >"$smokedir/shards.out" 2>"$smokedir/shards.err"
+"$obm" experiments validate --fast --shards 2 >"$smokedir/shards.out" 2>"$smokedir/shards.err"
 status=$?
 set -e
 [[ "$status" -eq 2 ]] \
     || { echo "experiments --shards 2 exited $status, expected 2"; exit 1; }
-grep -q "^usage: experiments" "$smokedir/shards.err" \
+grep -q "^  obm experiments <id>" "$smokedir/shards.err" \
     || { echo "experiments --shards 2 printed no usage line"; exit 1; }
 [[ ! -s "$smokedir/shards.out" ]] \
     || { echo "experiments --shards 2 ran an experiment"; exit 1; }
@@ -358,7 +368,9 @@ expect_exit_2 "obm solve on a zero-volume app" "$obm" solve "$smokedir/zero.spec
 grep -q "'idle'" "$smokedir/usage.err" \
     || { echo "zero-volume error does not name the app"; exit 1; }
 expect_exit_2 "obm latency --mesh 0" "$obm" latency --mesh 0
-echo "--> robustness: one-tile solve and exact finished, zero-volume spec and --mesh 0 exit 2"
+# `--seeds` is the flag; the misspelling must not race the default seeds.
+expect_exit_2 "obm solve --seed 7" "$obm" solve "$smokedir/c1.spec" --seed 7
+echo "--> robustness: one-tile solve and exact finished; zero-volume spec, --mesh 0 and --seed exit 2"
 
 echo "==> CLI resume smoke: a damaged checkpoint entry is re-run"
 # A checkpoint mapping that repeats a tile must be rejected entry by
@@ -415,7 +427,8 @@ echo "==> panic gate: error-typed constructor and solver paths"
 # through RequestError/CheckpointError and degrades to its greedy
 # fallback instead of panicking; the CLI spec parser returns SpecError;
 # the ChipLayout/MemoryControllers constructors and the outer placement
-# search report through PlacementError.
+# search report through PlacementError; the `obm` command-line parser
+# turns every bad spelling into a usage error.
 # Reintroducing unwrap()/assert!/panic! in the non-test portions of these
 # files would silently bring panicking paths back, so fail on any
 # occurrence outside the #[cfg(test)] module and doc comments
@@ -427,7 +440,8 @@ for f in crates/noc-sim/src/config.rs crates/noc-sim/src/network.rs \
     crates/obm-core/src/batch.rs crates/obm-core/src/pool.rs \
     crates/obm-core/src/objective.rs crates/obm-core/src/remap.rs \
     crates/noc-model/src/layout.rs crates/noc-model/src/placement.rs \
-    crates/obm-core/src/placement.rs crates/noc-metrics/src/*.rs; do
+    crates/obm-core/src/placement.rs crates/noc-metrics/src/*.rs \
+    crates/cli/src/main.rs; do
     cut=$(grep -n '#\[cfg(test)\]' "$f" | head -1 | cut -d: -f1 || true)
     cut=${cut:-$(( $(wc -l < "$f") + 1 ))}
     if hits=$(head -n $((cut - 1)) "$f" \
