@@ -287,6 +287,7 @@ pub fn trace_command(
     cycles: u64,
     window: u64,
     layout: LayoutFlags,
+    metrics: &MetricsHandle,
 ) -> Result<String, String> {
     let spec = InstanceSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let (spec, chip) = layout.apply(spec)?;
@@ -318,6 +319,7 @@ pub fn trace_command(
     let traffic = obm_core::traffic_spec(&inst, &mapping);
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
+        .with_metrics(metrics.clone())
         .run_probed(&mut sink);
     sink.write_value(&Value::obj([
         ("type", Value::from("summary")),
@@ -386,6 +388,7 @@ pub fn heatmap_command(
     cycles: u64,
     json: bool,
     layout: LayoutFlags,
+    metrics: &MetricsHandle,
 ) -> Result<String, String> {
     let spec = InstanceSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let (spec, chip) = layout.apply(spec)?;
@@ -400,6 +403,7 @@ pub fn heatmap_command(
     let mut sink = RingSink::new(4096);
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
+        .with_metrics(metrics.clone())
         .run_probed(&mut sink);
     let heat = sink
         .heatmaps()
@@ -521,6 +525,7 @@ pub fn chrome_trace_command(
     cycles: u64,
     window: u64,
     layout: LayoutFlags,
+    metrics: &MetricsHandle,
 ) -> Result<String, String> {
     let spec = InstanceSpec::parse(spec_text).map_err(|e| e.to_string())?;
     let (spec, chip) = layout.apply(spec)?;
@@ -536,6 +541,7 @@ pub fn chrome_trace_command(
     let mut cap = ChromeCapture::default();
     let report = Network::new(cfg, traffic)
         .map_err(|e| format!("invalid simulation config: {e}"))?
+        .with_metrics(metrics.clone())
         .run_probed(&mut cap);
 
     let mut events = Vec::new();
@@ -1181,7 +1187,16 @@ thread 8.5 1.3
 
         let cycles = 4_000u64;
         let window = 500u64;
-        let out = trace_command(SPEC, "sss", 1, cycles, window, LayoutFlags::default()).unwrap();
+        let out = trace_command(
+            SPEC,
+            "sss",
+            1,
+            cycles,
+            window,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap();
         let values: Vec<json::Value> = out
             .lines()
             .map(|l| json::parse(l).expect("every line is valid JSON"))
@@ -1263,8 +1278,26 @@ thread 8.5 1.3
     fn heatmap_json_is_deterministic_and_conserves_flits() {
         use noc_sim::telemetry::json;
 
-        let a = heatmap_command(SPEC, "sss", 1, 3_000, true, LayoutFlags::default()).unwrap();
-        let b = heatmap_command(SPEC, "sss", 1, 3_000, true, LayoutFlags::default()).unwrap();
+        let a = heatmap_command(
+            SPEC,
+            "sss",
+            1,
+            3_000,
+            true,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap();
+        let b = heatmap_command(
+            SPEC,
+            "sss",
+            1,
+            3_000,
+            true,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap();
         assert_eq!(a, b, "same seed must give byte-identical heatmap JSON");
 
         let v = json::parse(&a).unwrap();
@@ -1293,7 +1326,16 @@ thread 8.5 1.3
 
     #[test]
     fn heatmap_ascii_renders_mesh_and_decomposition() {
-        let out = heatmap_command(SPEC, "sss", 1, 3_000, false, LayoutFlags::default()).unwrap();
+        let out = heatmap_command(
+            SPEC,
+            "sss",
+            1,
+            3_000,
+            false,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap();
         assert!(out.contains("link heatmap"), "{out}");
         assert!(out.contains("o-"), "{out}");
         assert!(out.contains("hottest links"), "{out}");
@@ -1310,7 +1352,16 @@ thread 8.5 1.3
     fn chrome_trace_events_satisfy_decomposition_identity() {
         use noc_sim::telemetry::json;
 
-        let out = chrome_trace_command(SPEC, "sss", 1, 3_000, 500, LayoutFlags::default()).unwrap();
+        let out = chrome_trace_command(
+            SPEC,
+            "sss",
+            1,
+            3_000,
+            500,
+            LayoutFlags::default(),
+            &MetricsHandle::disabled(),
+        )
+        .unwrap();
         let v = json::parse(&out).unwrap();
         let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
         assert!(!events.is_empty());

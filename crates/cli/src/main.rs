@@ -331,21 +331,30 @@ fn experiments_command(args: &Args, metrics: &MetricsHandle) -> Result<String, S
 }
 
 /// `obm experiments trace|heatmap <spec>`: the JSON(-lines) telemetry of
-/// one simulated mapping, printed or written to `--out FILE`.
-fn telemetry_command(cmd: &str, args: &Args) -> Result<String, String> {
+/// one simulated mapping, printed or written to `--out FILE`. The
+/// simulation reports into `metrics`, as `simulate` does.
+fn telemetry_command(cmd: &str, args: &Args, metrics: &MetricsHandle) -> Result<String, String> {
     let spec = read_spec(cmd, args)?;
     let algo = args.value("algo").unwrap_or("sss");
     let seed = args.parse_flag::<u64>("seed", 0)?;
     let cycles = args.parse_flag::<u64>("cycles", 20_000)?;
     let layout = layout_flags(args);
     let out = if cmd == "experiments heatmap" {
-        commands::heatmap_command(&spec, algo, seed, cycles, args.switch("json"), layout)?
+        commands::heatmap_command(
+            &spec,
+            algo,
+            seed,
+            cycles,
+            args.switch("json"),
+            layout,
+            metrics,
+        )?
     } else {
         let window = args.parse_flag::<u64>("window", 1_000)?;
         if args.switch("chrome") {
-            commands::chrome_trace_command(&spec, algo, seed, cycles, window, layout)?
+            commands::chrome_trace_command(&spec, algo, seed, cycles, window, layout, metrics)?
         } else {
-            commands::trace_command(&spec, algo, seed, cycles, window, layout)?
+            commands::trace_command(&spec, algo, seed, cycles, window, layout, metrics)?
         }
     };
     match args.value("out") {
@@ -395,7 +404,7 @@ fn run_command(cmd: &str, args: &Args, metrics: &MetricsHandle) -> Result<String
             metrics,
         ),
         "experiments" => experiments_command(args, metrics),
-        "experiments trace" | "experiments heatmap" => telemetry_command(cmd, args),
+        "experiments trace" | "experiments heatmap" => telemetry_command(cmd, args, metrics),
         "exact" => commands::exact_command(&spec()?, args.parse_flag::<u64>("budget", 20_000_000)?),
         "solve" => {
             let spec = spec()?;

@@ -71,3 +71,26 @@ fn list_still_succeeds() {
         .collect();
     assert_eq!(listed, ids);
 }
+
+#[test]
+fn telemetry_commands_fill_the_metrics_snapshot() {
+    let spec = spec();
+    for (cmd, format) in [("heatmap", "prom"), ("trace", "json")] {
+        let path = format!("{}/{cmd}.metrics", env!("CARGO_TARGET_TMPDIR"));
+        let out = obm(&[
+            "experiments",
+            cmd,
+            &spec,
+            "--cycles",
+            "500",
+            "--metrics",
+            &path,
+            "--metrics-format",
+            format,
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{cmd}");
+        let snapshot = std::fs::read_to_string(&path).expect("snapshot written");
+        assert!(snapshot.contains("sim_cycles_total"), "{cmd}: {snapshot}");
+        assert!(snapshot.contains("\"sim/route\""), "{cmd}: {snapshot}");
+    }
+}

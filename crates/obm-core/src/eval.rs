@@ -78,8 +78,8 @@ pub(crate) fn summarize(inst: &ObmInstance, per_app: Vec<f64>, total_num: f64) -
 /// The min-max objective `max_i w_i·(num_i / volume_i)` over
 /// per-application latency numerators, volumes and weights (equal
 /// lengths), or −∞ for no applications. It is what
-/// [`IncrementalEvaluator::max_apl`] computes on every SSS window try and
-/// SA move.
+/// [`IncrementalEvaluator::max_apl`] computes on every SA move; the SSS
+/// window kernel folds the same compare over a window's applications.
 ///
 /// A plain compare, as in [`evaluate`], rather than a fold over
 /// `f64::max`, whose NaN handling costs a fix-up per application. Both
@@ -276,16 +276,14 @@ impl<'a> IncrementalEvaluator<'a> {
     /// Returns `Some((new objective, objective delta))` when a
     /// permutation was kept, `None` otherwise.
     ///
-    /// Each candidate is scored with the same f64 operations, in the same
-    /// order, as `apply_window_permutation(perm)`, then
-    /// [`max_apl`](Self::max_apl), then `apply_window_permutation` of the
-    /// inverse permutation. The result and the evaluator's state, `edits`
-    /// (2 per try) included, are bit-identical to that apply → revert
-    /// loop. Apply → revert does not return the numerators to their old
-    /// bits, and that rounding drift is part of every SSS trajectory. The
-    /// occupants and a `w × w` block of their costs on the window's tiles
-    /// are loaded once, so a try touches neither the tile → thread view
-    /// nor the mapping.
+    /// Each candidate is scored from the window's starting numerators,
+    /// bit for bit what `apply_window_permutation(perm)` then
+    /// [`max_apl`](Self::max_apl) gives on a clone, so no candidate
+    /// depends on another and only the kept one changes the evaluator.
+    /// The occupants and a `w × w` block of their costs on the window's
+    /// tiles are loaded once. A window whose untouched applications
+    /// already hold the objective within 1e-12 is skipped: no candidate
+    /// can lower it. `edits` grows by 2 per candidate, skipped or not.
     ///
     /// # Panics
     /// Panics if the window is longer than [`MAX_WINDOW`](Self::MAX_WINDOW).
@@ -297,49 +295,73 @@ impl<'a> IncrementalEvaluator<'a> {
         const W: usize = IncrementalEvaluator::MAX_WINDOW;
         let w = tiles.len();
         assert!(w <= W, "window of {w} tiles exceeds {W}");
-        // app[s]: application of the occupant of slot s (None = hole);
+        let candidates = perms.chunks_exact(w);
+        self.edits += 2 * candidates.len() as u64;
+        // apps[..touched]: the window's distinct applications; slot[s]:
+        // the index into them of slot s's occupant (None = hole);
         // cost[s][q]: that occupant's cost on tiles[q].
-        let mut app = [None; W];
+        let (mut apps, mut touched) = ([0; W], 0);
+        let mut slot = [None; W];
         let mut cost = [[0.0; W]; W];
         for (s, t) in tiles.iter().enumerate() {
             if let Some(j) = self.inverse[t.index()] {
-                app[s] = Some(self.tables.app_of(j));
+                let a = self.tables.app_of(j);
+                let k = apps[..touched].iter().position(|&x| x == a);
+                slot[s] = Some(k.unwrap_or_else(|| {
+                    apps[touched] = a;
+                    touched += 1;
+                    touched - 1
+                }));
                 for (c, tq) in cost[s].iter_mut().zip(tiles) {
                     *c = self.tables.cost(j, tq.index());
                 }
             }
         }
-        let app = &app[..w];
+        let apps = &apps[..touched];
+        // rest: the objective over the applications no candidate moves.
+        let (volumes, weights) = (self.tables.volumes(), self.tables.weights());
+        let mut rest = f64::NEG_INFINITY;
+        for (i, ((&n, &v), &wt)) in self.app_num.iter().zip(volumes).zip(weights).enumerate() {
+            let x = wt * (n / v);
+            if x > rest && !apps.contains(&i) {
+                rest = x;
+            }
+        }
         let start_val = self.max_apl();
+        // Every candidate scores at least `rest`, so none can pass the
+        // `val + 1e-12 < best_val` test below. Neither side is NaN: both
+        // folds skip NaN and start from −∞.
+        if rest + 1e-12 >= start_val {
+            return None;
+        }
+        // Detach every occupant in slot order, as apply does; the
+        // candidates differ only in how they attach.
+        let (mut detached, mut volume, mut weight) = ([0.0; W], [1.0; W], [1.0; W]);
+        for (k, &a) in apps.iter().enumerate() {
+            (detached[k], volume[k], weight[k]) = (self.app_num[a], volumes[a], weights[a]);
+        }
+        for (s, k) in slot[..w].iter().enumerate() {
+            if let Some(k) = *k {
+                detached[k] -= cost[s][s];
+            }
+        }
         let mut best_val = start_val;
         let mut best_perm: Option<&[usize]> = None;
-        for perm in perms.chunks_exact(w) {
-            // apply: detach every occupant, then attach occupant perm[s]
-            // to slot s
-            for (s, a) in app.iter().enumerate() {
-                if let Some(a) = *a {
-                    self.app_num[a] -= cost[s][s];
-                }
-            }
+        for perm in candidates {
+            // attach occupant perm[s] to slot s, in slot order
+            let mut num = detached;
             for (s, &p) in perm.iter().enumerate() {
-                if let Some(a) = app[p] {
-                    self.app_num[a] += cost[p][s];
+                if let Some(k) = slot[p] {
+                    num[k] += cost[p][s];
                 }
             }
-            let val = self.max_apl();
-            // revert: detach occupant perm[s] from slot s, then attach
-            // every occupant to its own slot again
-            for (s, &p) in perm.iter().enumerate() {
-                if let Some(a) = app[p] {
-                    self.app_num[a] -= cost[p][s];
+            let mut val = rest;
+            for ((&n, &v), &wt) in num[..touched].iter().zip(&volume).zip(&weight) {
+                let x = wt * (n / v);
+                if x > val {
+                    val = x;
                 }
             }
-            for (s, a) in app.iter().enumerate() {
-                if let Some(a) = *a {
-                    self.app_num[a] += cost[s][s];
-                }
-            }
-            self.edits += 2;
             if val + 1e-12 < best_val {
                 best_val = val;
                 best_perm = Some(perm);

@@ -19,7 +19,7 @@
 #                         plus the goldens for SSS windows 2/3/5/6, MC on
 #                         spare tiles and 2 workers, SA restarts, the SSS
 #                         telemetry goldens, and the differential oracles:
-#                         window kernel ≡ apply→revert search, BnB ≡ brute
+#                         window kernel ≡ from-state search, BnB ≡ brute
 #                         force, MaxMinBalance and failed-link latencies
 #                         ≡ naive recomputations),
 #                         the simulator's golden-report suite
@@ -54,7 +54,9 @@
 #                         JSON is arithmetic-checked (heatmap link
 #                         conservation, chrome measured-event count =
 #                         delivered) and the heatmap output must be
-#                         byte-identical across two same-seed runs;
+#                         byte-identical across two same-seed runs,
+#                         with `--metrics` on the first (its snapshot
+#                         must hold sim_cycles_total);
 #                         the metrics surface (`--metrics` on simulate/
 #                         solve + `obm status`) is smoke-tested the same
 #                         way: family grep on the Prometheus text
@@ -160,8 +162,10 @@ echo "==> batch-evaluation determinism suite (release)"
 # scratch evaluator, worker-count-invariant parallel path, and solver
 # goldens pinned to their pre-rewire bits — must hold under release
 # codegen (the autovectorized kernel is only emitted there). So must the
-# SSS window kernel's bit-identity to the apply→revert search it
-# replaced, which the differential oracles check on random instances.
+# SSS window kernel's bit-identity to the from-state search (each
+# candidate applied to a clone, then the best applied), and its skip of
+# windows that cannot lower the max, which the differential oracles
+# check on random instances.
 cargo test -q --release --test eval_batch
 cargo test -q --release --test solver_goldens
 cargo test -q --release --test oracles
@@ -235,19 +239,23 @@ cargo build --release -q -p obm-cli
     || { echo "obm gen --seed 18446744073709551615 printed the default-seed spec"; exit 1; }
 echo "--> gen: the largest seed is honored"
 "$obm" gen C1 --seed 1 > "$smokedir/c1.spec"
+# The first run also exports metrics: the snapshot must hold the
+# simulator's counters, and the JSON must not change for it.
 "$obm" experiments heatmap "$smokedir/c1.spec" --cycles 2000 --json \
-    --out "$smokedir/heat.json"
+    --out "$smokedir/heat.json" --metrics "$smokedir/hm.prom"
 "$obm" experiments heatmap "$smokedir/c1.spec" --cycles 2000 --json \
     --out "$smokedir/heat2.json"
 cmp -s "$smokedir/heat.json" "$smokedir/heat2.json" \
     || { echo "heatmap JSON differs across two same-seed runs"; exit 1; }
+[[ -s "$smokedir/hm.prom" ]] && grep -q "^sim_cycles_total " "$smokedir/hm.prom" \
+    || { echo "experiments heatmap --metrics wrote no sim_cycles_total"; exit 1; }
 # Link conservation: the heatmap's per-link sum must equal the report's
 # global traversal counter, both present at fixed keys in the JSON.
 total=$(grep -o '"link_flit_traversals":[0-9]*' "$smokedir/heat.json" | cut -d: -f2)
 heat=$(grep -o '"total_link_flits":[0-9]*' "$smokedir/heat.json" | cut -d: -f2)
 [[ -n "$total" && "$total" == "$heat" ]] \
     || { echo "heatmap link conservation broken: report=$total heatmap=$heat"; exit 1; }
-echo "--> heatmap: deterministic, $total flit traversals conserved"
+echo "--> heatmap: deterministic, $total flit traversals conserved, metrics exported"
 "$obm" experiments trace "$smokedir/c1.spec" --chrome --cycles 2000 \
     --window 500 --out "$smokedir/c1.trace.json"
 grep -q '"traceEvents"' "$smokedir/c1.trace.json" \
