@@ -134,9 +134,9 @@ fn mapping_grid(mesh: &Mesh, inst: &ObmInstance, mapping: &Mapping) -> String {
 }
 
 /// `obm map` — compute a mapping for a spec, optionally optimized for a
-/// non-default objective (`--objective`). The default `min-max-apl` runs
-/// the mapper unmodified (bit-identical to the pre-objective CLI); other
-/// objectives go through [`Mapper::map_objective`].
+/// non-default objective (`--objective`) through
+/// [`Mapper::map_objective`], which runs the mapper unmodified under the
+/// default `min-max-apl` (bit-identical to the pre-objective CLI).
 pub fn map_command(
     spec_text: &str,
     algo: &str,
@@ -150,11 +150,7 @@ pub fn map_command(
     let (spec, chip) = layout.apply(spec)?;
     let inst = spec.to_instance_for_layout(&chip);
     let mapper = mapper_by_name(algo)?;
-    let mapping = if objective.is_min_max_apl() {
-        mapper.map(&inst, seed)
-    } else {
-        mapper.map_objective(&inst, seed, objective.build().as_ref())
-    };
+    let mapping = mapper.map_objective(&inst, seed, objective.build().as_ref());
     let mut out = String::new();
     out.push_str(&format!("# algorithm: {}\n", mapper.name()));
     if !objective.is_min_max_apl() {

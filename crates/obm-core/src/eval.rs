@@ -166,6 +166,11 @@ impl<'a> IncrementalEvaluator<'a> {
         });
     }
 
+    /// The instance this evaluator scores.
+    pub fn instance(&self) -> &'a ObmInstance {
+        self.inst
+    }
+
     /// Current mapping (borrowed).
     pub fn mapping(&self) -> &Mapping {
         &self.mapping
@@ -205,8 +210,7 @@ impl<'a> IncrementalEvaluator<'a> {
         weighted_max_apl(&self.app_num, self.tables.volumes(), self.tables.weights())
     }
 
-    /// Sum of all applications' latency numerators (the g-APL numerator) —
-    /// a cheap secondary objective for plateau-escaping local search.
+    /// Sum of all applications' latency numerators (the g-APL numerator).
     pub fn total_latency(&self) -> f64 {
         self.app_num.iter().sum()
     }

@@ -17,15 +17,15 @@
 //! * [`reduction`] — the NP-completeness proof of Section III.C as
 //!   executable code (set-partition ⇌ DOBM);
 //! * [`dynamic`] — runtime add/remove-application remapping (Section IV.B);
-//! * [`refine`] — pairwise-swap local search usable to polish any mapping
-//!   (extension);
 //! * [`oversub`] — multiple threads per tile via virtual-tile expansion
 //!   (the generalization the paper's §III.B footnote defers);
 //! * [`bridge`] — [`traffic_spec`]: the `noc-sim` traffic a mapped
 //!   instance induces, for cycle-level validation of analytic results;
 //! * [`objective`] — the pluggable [`Objective`] API (min-max APL,
 //!   max-min balance, energy, migration-penalized) behind `--objective`
-//!   and the online controller;
+//!   and the online controller, scored from an [`IncrementalEvaluator`],
+//!   and [`refine_for_objective`], the one pairwise tile-exchange search
+//!   (an extension: SSS only exchanges within windows);
 //! * [`remap`] — the closed-loop online [`RemapController`]: windowed
 //!   telemetry in, drift detection, warm-started migration-penalized
 //!   re-solve, deterministic mid-run mapping swap out (DESIGN.md §14);
@@ -79,7 +79,6 @@ pub mod placement;
 pub mod pool;
 pub mod problem;
 pub mod reduction;
-pub mod refine;
 pub mod remap;
 pub mod sam;
 
@@ -97,6 +96,5 @@ pub use placement::{
     co_optimize, sss_inner, PlacementOptions, PlacementOutcome, PlacementSearchError, SearchMode,
 };
 pub use problem::{Mapping, MappingError, ObmInstance};
-pub use refine::{polish, Polished};
 pub use remap::{RemapConfig, RemapController, RemapError, RemapEvent};
 pub use sam::{solve_sam, SamSolution};

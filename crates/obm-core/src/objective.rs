@@ -3,16 +3,19 @@
 //! The paper's formulation fixes one objective — minimize the maximum
 //! per-application APL (Eq. 6) — but the machinery around it (SSS, the
 //! portfolio, the online controller) only needs *a* scalar to minimize.
-//! [`Objective`] is that seam: a pure function from an evaluated mapping
-//! (its [`AplReport`], the mapping itself, and the instance) to a
-//! lower-is-better score.
+//! [`Objective`] is that seam: a pure function from an
+//! [`IncrementalEvaluator`]'s state (its per-application sums, its
+//! mapping, its instance) to a lower-is-better score, so the exchange
+//! search [`refine_for_objective`] scores a candidate without building a
+//! report.
 //!
 //! Implementations:
 //!
-//! * [`MinMaxApl`] — the paper's objective. Its score is **bit-identical**
-//!   to [`AplReport::max_apl`] (it *is* that field), so every pre-existing
-//!   golden stays valid when it is selected; `tests/properties.rs` pins
-//!   the identity by proptest.
+//! * [`MinMaxApl`] — the paper's objective. Its score is
+//!   [`IncrementalEvaluator::max_apl`], **bit-identical** to
+//!   [`AplReport::max_apl`](crate::AplReport::max_apl), so every
+//!   pre-existing golden stays valid when it is selected;
+//!   `tests/properties.rs` pins the identity by proptest.
 //! * [`MaxMinBalance`] — the spread `max − min` of the weighted
 //!   per-application APLs `w_i·d_i` (plain APLs for unit weights), the
 //!   "balance" criterion the paper's Figure 5 warns about: a mapping can
@@ -30,27 +33,29 @@
 //! (`--objective min-max-apl|max-min-balance|energy`) that builds the
 //! corresponding boxed objective.
 
-use crate::eval::AplReport;
+use crate::eval::IncrementalEvaluator;
 use crate::problem::{Mapping, ObmInstance};
 use noc_model::Mesh;
 use noc_power::PowerParams;
 
-/// A mapping objective: evaluated report → lower-is-better scalar.
+/// A mapping objective: evaluator state → lower-is-better scalar.
 ///
 /// Implementations must be pure (no interior state, no randomness): the
 /// portfolio engine scores candidates from multiple worker threads and
-/// relies on identical inputs producing identical bits.
+/// relies on identical inputs producing identical bits. They read the
+/// evaluator's running sums and allocate nothing, so the exchange search
+/// scores each candidate in place.
 pub trait Objective: Send + Sync + std::fmt::Debug {
     /// Short stable name (used in logs and solver telemetry).
     fn name(&self) -> &'static str;
 
-    /// Score the mapping; smaller is better.
-    fn score(&self, inst: &ObmInstance, mapping: &Mapping, report: &AplReport) -> f64;
+    /// Score the evaluator's current mapping; smaller is better.
+    fn score(&self, ev: &IncrementalEvaluator<'_>) -> f64;
 
     /// `true` iff [`score`](Self::score) returns exactly
-    /// `report.max_apl` for every input — the flag the hot paths use to
-    /// keep the pre-objective-API code paths (and their bit-exact
-    /// goldens) when the paper's objective is selected.
+    /// [`IncrementalEvaluator::max_apl`] for every input — the flag the
+    /// hot paths use to keep the pre-objective-API code paths (and their
+    /// bit-exact goldens) when the paper's objective is selected.
     fn is_min_max_apl(&self) -> bool {
         false
     }
@@ -65,8 +70,8 @@ impl Objective for MinMaxApl {
         "min-max-apl"
     }
 
-    fn score(&self, _inst: &ObmInstance, _mapping: &Mapping, report: &AplReport) -> f64 {
-        report.max_apl
+    fn score(&self, ev: &IncrementalEvaluator<'_>) -> f64 {
+        ev.max_apl()
     }
 
     fn is_min_max_apl(&self) -> bool {
@@ -90,14 +95,12 @@ impl Objective for MaxMinBalance {
         "max-min-balance"
     }
 
-    fn score(&self, inst: &ObmInstance, _mapping: &Mapping, report: &AplReport) -> f64 {
-        let min = report
-            .per_app
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| inst.app_weight(i) * d)
+    fn score(&self, ev: &IncrementalEvaluator<'_>) -> f64 {
+        let inst = ev.instance();
+        let min = (0..inst.num_apps())
+            .map(|i| inst.app_weight(i) * ev.app_apl(i))
             .fold(f64::INFINITY, f64::min);
-        report.max_apl - min
+        ev.max_apl() - min
     }
 }
 
@@ -130,7 +133,8 @@ impl Objective for Energy {
         "energy"
     }
 
-    fn score(&self, inst: &ObmInstance, mapping: &Mapping, _report: &AplReport) -> f64 {
+    fn score(&self, ev: &IncrementalEvaluator<'_>) -> f64 {
+        let (inst, mapping) = (ev.instance(), ev.mapping());
         let tl = inst.tiles();
         let n = inst.num_tiles() as f64;
         let mut energy_pj_per_cycle = 0.0;
@@ -199,9 +203,9 @@ impl<O: Objective> Objective for MigrationPenalized<O> {
         "migration-penalized"
     }
 
-    fn score(&self, inst: &ObmInstance, mapping: &Mapping, report: &AplReport) -> f64 {
-        self.base.score(inst, mapping, report)
-            + self.weight * migration_distance(&self.mesh, &self.reference, mapping) as f64
+    fn score(&self, ev: &IncrementalEvaluator<'_>) -> f64 {
+        self.base.score(ev)
+            + self.weight * migration_distance(&self.mesh, &self.reference, ev.mapping()) as f64
     }
 }
 
@@ -245,15 +249,11 @@ impl ObjectiveSpec {
         self == ObjectiveSpec::MinMaxApl
     }
 
-    /// Score `mapping` under this spec, evaluating it from scratch.
+    /// Score `mapping` under this spec on a fresh evaluator (for
+    /// [`ObjectiveSpec::MinMaxApl`], the bits of `evaluate().max_apl`).
     pub fn score(self, inst: &ObmInstance, mapping: &Mapping) -> f64 {
-        let report = crate::eval::evaluate(inst, mapping);
-        match self {
-            // Identical bits to `evaluate().max_apl`.
-            ObjectiveSpec::MinMaxApl => report.max_apl,
-            ObjectiveSpec::MaxMinBalance => MaxMinBalance.score(inst, mapping, &report),
-            ObjectiveSpec::Energy => Energy::default().score(inst, mapping, &report),
-        }
+        self.build()
+            .score(&IncrementalEvaluator::new(inst, mapping.clone()))
     }
 }
 
@@ -280,18 +280,19 @@ impl std::str::FromStr for ObjectiveSpec {
     }
 }
 
-/// Deterministic objective-aware polish: best-improvement pairwise tile
-/// exchange, warm-started from `start`.
+/// The one pairwise tile-exchange search: best-improvement descent,
+/// warm-started from `start`.
 ///
 /// Each pass scans every tile pair `(a, b)` in ascending index order,
-/// scores the exchanged mapping under `obj` (full report + score — cheap
-/// at instance sizes ≤ 64), and applies the strictly best improving
-/// exchange; it stops when a pass finds no strict improvement or after
-/// `max_passes` passes. Ties break toward the earliest pair scanned, so
-/// the result is a pure function of `(inst, start, obj)` — this is both
-/// the default generic-objective path of
+/// swaps it in the evaluator, scores it under `obj` straight from the
+/// evaluator's sums (no report, no allocation), swaps it back, and
+/// finally applies the strictly best improving exchange (`total_cmp`);
+/// it stops when a pass finds no strict improvement or after `max_passes`
+/// passes. Ties break toward the earliest pair scanned, so the result is
+/// a pure function of `(inst, start, obj)`. It is the polish stage of
 /// [`Mapper::map_objective`](crate::algorithms::Mapper::map_objective)
-/// and the warm-started re-solver of the online controller.
+/// and of every task in a non-min-max portfolio race, and the
+/// warm-started re-solver of the online controller.
 pub fn refine_for_objective(
     inst: &ObmInstance,
     start: Mapping,
@@ -299,8 +300,8 @@ pub fn refine_for_objective(
     max_passes: usize,
 ) -> Mapping {
     let k = inst.num_tiles();
-    let mut ev = crate::eval::IncrementalEvaluator::new(inst, start);
-    let mut current = obj.score(inst, ev.mapping(), &ev.report());
+    let mut ev = IncrementalEvaluator::new(inst, start);
+    let mut current = obj.score(&ev);
     for _ in 0..max_passes {
         let mut best: Option<(usize, usize, f64)> = None;
         for a in 0..k {
@@ -312,7 +313,7 @@ pub fn refine_for_objective(
                     // Two holes: nothing to score, nothing to undo.
                     continue;
                 }
-                let s = obj.score(inst, ev.mapping(), &ev.report());
+                let s = obj.score(&ev);
                 ev.swap_tiles(ta, tb);
                 let improves = match best {
                     Some((_, _, bs)) => s.total_cmp(&bs) == std::cmp::Ordering::Less,
@@ -337,7 +338,7 @@ pub fn refine_for_objective(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{Mapper, SortSelectSwap};
+    use crate::algorithms::{BruteForce, Global, Mapper, RandomMapper, SortSelectSwap};
     use crate::eval::evaluate;
     use noc_model::{LatencyParams, MemoryControllers, TileId, TileLatencies};
 
@@ -350,15 +351,26 @@ mod tests {
         ObmInstance::new(tiles, vec![0, 6, 11, 16], c, m)
     }
 
+    /// The paper's Figure 5 setting (4×4, four apps with cache rates
+    /// .1/.2/.3/.4): min-max exchange plateaus on it; optimum 10.3375.
+    fn fig5() -> ObmInstance {
+        let mesh = Mesh::square(4);
+        let mcs = MemoryControllers::corners(&mesh);
+        let tiles = TileLatencies::compute(&mesh, &mcs, LatencyParams::fig5_example());
+        let c: Vec<f64> = (0..4).flat_map(|_| [0.1, 0.2, 0.3, 0.4]).collect();
+        ObmInstance::new(tiles, vec![0, 4, 8, 12, 16], c, vec![0.0; 16])
+    }
+
+    fn score(obj: &dyn Objective, inst: &ObmInstance, m: &Mapping) -> f64 {
+        obj.score(&IncrementalEvaluator::new(inst, m.clone()))
+    }
+
     #[test]
     fn min_max_apl_is_the_report_field_bitwise() {
         let inst = instance();
         let m = Mapping::identity(16);
         let r = evaluate(&inst, &m);
-        assert_eq!(
-            MinMaxApl.score(&inst, &m, &r).to_bits(),
-            r.max_apl.to_bits()
-        );
+        assert_eq!(score(&MinMaxApl, &inst, &m).to_bits(), r.max_apl.to_bits());
         assert_eq!(
             ObjectiveSpec::MinMaxApl.score(&inst, &m).to_bits(),
             r.max_apl.to_bits()
@@ -372,7 +384,6 @@ mod tests {
         let inst = instance();
         let mesh = Mesh::square(4);
         let m = SortSelectSwap::default().map(&inst, 0);
-        let r = evaluate(&inst, &m);
         let obj = Energy::default();
         let loads: Vec<noc_power::PlacedLoad> = (0..inst.num_threads())
             .map(|j| noc_power::PlacedLoad {
@@ -383,7 +394,7 @@ mod tests {
             .collect();
         let direct =
             noc_power::analytic_power(&obj.params, &mesh, inst.tiles(), &loads, 3.0).dynamic_mw;
-        assert!((obj.score(&inst, &m, &r) - direct).abs() < 1e-12);
+        assert!((score(&obj, &inst, &m) - direct).abs() < 1e-12);
     }
 
     #[test]
@@ -397,9 +408,7 @@ mod tests {
         let obj = Energy::default();
         let corner = Mapping::new(vec![TileId(0)]);
         let center = Mapping::new(vec![TileId(5)]);
-        let rc = evaluate(&inst, &corner);
-        let rn = evaluate(&inst, &center);
-        assert!(obj.score(&inst, &center, &rn) < obj.score(&inst, &corner, &rc));
+        assert!(score(&obj, &inst, &center) < score(&obj, &inst, &corner));
     }
 
     #[test]
@@ -415,7 +424,7 @@ mod tests {
         };
         let r0 = evaluate(&inst, &reference);
         assert_eq!(
-            obj.score(&inst, &reference, &r0).to_bits(),
+            score(&obj, &inst, &reference).to_bits(),
             r0.max_apl.to_bits(),
             "no movement, no penalty"
         );
@@ -426,7 +435,7 @@ mod tests {
         assert_eq!(migration_distance(&mesh, &reference, &moved), 12);
         assert_eq!(threads_moved(&reference, &moved), 2);
         let rm = evaluate(&inst, &moved);
-        assert!((obj.score(&inst, &moved, &rm) - (rm.max_apl + 0.5 * 12.0)).abs() < 1e-12);
+        assert!((score(&obj, &inst, &moved) - (rm.max_apl + 0.5 * 12.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -459,5 +468,46 @@ mod tests {
         let after = ObjectiveSpec::MaxMinBalance.score(&inst, &a);
         assert!(after <= before, "refine worsened: {before} -> {after}");
         assert!(a.is_valid_for(&inst));
+    }
+
+    #[test]
+    fn refine_reaches_a_local_optimum_one_more_pass_certifies() {
+        // Not on Figure 5's instance: its apps tie exactly, and a fresh
+        // evaluator's sums can break such a tie by an ulp.
+        let inst = instance();
+        let start = RandomMapper.map(&inst, 5);
+        let before = evaluate(&inst, &start).max_apl;
+        let local = refine_for_objective(&inst, start, &MinMaxApl, 1_000);
+        let after = evaluate(&inst, &local).max_apl;
+        assert!(after < before, "a random start should be improvable");
+        let again = refine_for_objective(&inst, local.clone(), &MinMaxApl, 1);
+        assert_eq!(again, local, "one more pass found an improving exchange");
+        // SSS already hits Figure 5's optimum; the search keeps its value
+        // (it may trade one exact tie for an ulp-lower one).
+        let inst = fig5();
+        let sss = SortSelectSwap::default().map(&inst, 0);
+        let kept = refine_for_objective(&inst, sss, &MinMaxApl, 10);
+        assert!((evaluate(&inst, &kept).max_apl - 10.3375).abs() < 1e-9);
+    }
+
+    #[test]
+    fn refine_respects_exact_optimum_and_never_worsens_global() {
+        let mesh = Mesh::new(2, 3);
+        let mcs = MemoryControllers::corners(&mesh);
+        let tl = TileLatencies::compute(&mesh, &mcs, LatencyParams::paper_table2());
+        let inst = ObmInstance::new(
+            tl,
+            vec![0, 3, 6],
+            vec![1.0, 4.0, 2.0, 3.0, 5.0, 0.5],
+            vec![0.1; 6],
+        );
+        let best = evaluate(&inst, &BruteForce.map(&inst, 0)).max_apl;
+        let from_random = refine_for_objective(&inst, RandomMapper.map(&inst, 1), &MinMaxApl, 64);
+        assert!(evaluate(&inst, &from_random).max_apl >= best - 1e-9);
+
+        let inst = fig5();
+        let glob = Global.map(&inst, 0);
+        let refined = refine_for_objective(&inst, glob.clone(), &MinMaxApl, 64);
+        assert!(evaluate(&inst, &refined).max_apl <= evaluate(&inst, &glob).max_apl);
     }
 }

@@ -51,8 +51,6 @@ pub struct RemapConfig {
     /// EWMA smoothing factor for per-source rate re-estimation
     /// (`est ← α·observed + (1−α)·est`, `α ∈ (0, 1]`).
     pub rate_ewma: f64,
-    /// Pass budget of the warm-started pairwise-exchange re-solver.
-    pub refine_passes: usize,
 }
 
 impl Default for RemapConfig {
@@ -65,7 +63,6 @@ impl Default for RemapConfig {
             cooldown_windows: 2,
             max_remaps: 8,
             rate_ewma: 0.5,
-            refine_passes: 64,
         }
     }
 }
@@ -142,6 +139,10 @@ enum State {
     /// Holding off after a re-solve for N more windows.
     Cooldown(u32),
 }
+
+/// Pass budget of the controller's warm-started pairwise-exchange
+/// re-solve ([`refine_for_objective`]).
+const REFINE_PASSES: usize = 64;
 
 /// The closed-loop online remapping controller. See the module docs.
 #[derive(Debug, Clone)]
@@ -359,12 +360,8 @@ impl RemapController {
             mesh: self.mesh,
         };
         let incumbent_score = evaluate(&inst, &self.mapping).max_apl;
-        let candidate = refine_for_objective(
-            &inst,
-            self.mapping.clone(),
-            &objective,
-            self.cfg.refine_passes,
-        );
+        let candidate =
+            refine_for_objective(&inst, self.mapping.clone(), &objective, REFINE_PASSES);
         let moved = threads_moved(&self.mapping, &candidate);
         let report = evaluate(&inst, &candidate);
         let candidate_score = report.max_apl

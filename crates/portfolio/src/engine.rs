@@ -41,10 +41,7 @@ use std::sync::OnceLock;
 
 use noc_telemetry::{Probe, SolverEvent};
 use obm_core::algorithms::{BalancedGreedy, Mapper, SortSelectSwap, OBJECTIVE_REFINE_PASSES};
-use obm_core::{
-    evaluate, refine_for_objective, BatchEvaluator, CancelToken, Mapping, ObjectiveSpec,
-    ObmInstance,
-};
+use obm_core::{refine_for_objective, CancelToken, Mapping, ObjectiveSpec, ObmInstance};
 
 use crate::checkpoint::{mapping_from_tiles, Checkpoint, CompletedTask, Fingerprint};
 use crate::outcome::{task_span_path, SolveOutcome, SolveStats, Termination};
@@ -247,18 +244,6 @@ fn fingerprint(inst: &ObmInstance, tasks: &[Task], objective: ObjectiveSpec) -> 
     fp.finish()
 }
 
-/// Score `mapping` under the request's objective. The default
-/// [`ObjectiveSpec::MinMaxApl`] keeps the engine's historical scoring
-/// path (the batched evaluator's `max_apl`, bit-identical to
-/// `evaluate`); anything else dispatches through the spec.
-fn score(inst: &ObmInstance, objective: ObjectiveSpec, mapping: &Mapping) -> f64 {
-    if objective.is_min_max_apl() {
-        BatchEvaluator::new(inst).eval_one(mapping).max_apl
-    } else {
-        objective.score(inst, mapping)
-    }
-}
-
 pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome {
     let inst = req.inst;
     let objective = req.objective;
@@ -267,37 +252,17 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
     let fp = fingerprint(inst, &tasks, objective);
 
     // Inject completed tasks from a matching checkpoint. The stored
-    // mappings are re-scored in one `eval_many` batch — re-evaluating
-    // instead of trusting the stored objectives keeps a tampered/stale
-    // value from steering the merge (bit-identical to per-mapping
-    // `evaluate`, so resumed outcomes match the original run).
+    // mappings (post-polish) are re-scored under the fingerprint-matched
+    // objective — re-evaluating instead of trusting the stored objectives
+    // keeps a tampered/stale value from steering the merge, and scores
+    // the same bits as the original run.
     let mut resume_rejected = false;
     if let Some(cp) = &req.resume {
         if cp.fingerprint == fp {
-            let mut injected: Vec<(usize, Mapping)> = Vec::new();
-            for (i, t) in tasks.iter().enumerate() {
-                if t.dropped {
-                    continue;
-                }
+            for t in tasks.iter_mut().filter(|t| !t.dropped) {
                 if let Some(entry) = cp.entry(t.rank, t.name, t.seed, inst.num_threads()) {
                     if let Some(m) = mapping_from_tiles(&entry.mapping, inst.num_tiles()) {
-                        injected.push((i, m));
-                    }
-                }
-            }
-            if !injected.is_empty() {
-                if min_max {
-                    let batch: Vec<Mapping> = injected.iter().map(|(_, m)| m.clone()).collect();
-                    let reports = BatchEvaluator::new(inst).eval_many(&batch);
-                    for ((i, m), r) in injected.into_iter().zip(reports) {
-                        tasks[i].resumed = Some((r.max_apl, m));
-                    }
-                } else {
-                    // Checkpointed mappings are post-polish; re-scoring
-                    // under the (fingerprint-matched) objective suffices.
-                    for (i, m) in injected {
-                        let v = score(inst, objective, &m);
-                        tasks[i].resumed = Some((v, m));
+                        t.resumed = Some((objective.score(inst, &m), m));
                     }
                 }
             }
@@ -372,7 +337,7 @@ pub(crate) fn run(req: &SolveRequest<'_>, probe: &mut dyn Probe) -> SolveOutcome
             let obj = objective.build();
             refine_for_objective(inst, m, obj.as_ref(), OBJECTIVE_REFINE_PASSES)
         };
-        let value = score(inst, objective, &m);
+        let value = objective.score(inst, &m);
         bound.update_min(value);
         Some(TaskResult {
             value,
@@ -563,11 +528,7 @@ fn fallback_outcome(
     resume_rejected: bool,
 ) -> SolveOutcome {
     let mapping = BalancedGreedy.map(inst, 0);
-    let objective = if spec.is_min_max_apl() {
-        evaluate(inst, &mapping).max_apl
-    } else {
-        spec.score(inst, &mapping)
-    };
+    let objective = spec.score(inst, &mapping);
     SolveOutcome {
         mapping,
         objective,

@@ -18,10 +18,13 @@
 #                         scratch evaluate bitwise + pinned solver goldens,
 #                         plus the goldens for SSS windows 2/3/5/6, MC on
 #                         spare tiles and 2 workers, SA restarts, the SSS
-#                         telemetry goldens, and the differential oracles:
-#                         window kernel ≡ from-state search, BnB ≡ brute
-#                         force, MaxMinBalance and failed-link latencies
-#                         ≡ naive recomputations),
+#                         telemetry goldens, the exchange-search goldens
+#                         on C1–C8 at three workload seeds, and the
+#                         differential oracles: window kernel ≡
+#                         from-state search, BnB ≡ brute force,
+#                         MaxMinBalance and failed-link latencies ≡
+#                         naive recomputations, evaluator scores ≡
+#                         report formulas),
 #                         the simulator's golden-report suite
 #                         (Bernoulli + geometric injection, the 48
 #                         fingerprinted random configurations, the
@@ -87,7 +90,10 @@
 #                         one MC row under `--objective energy`;
 #                         shared-pass smoke: the default four-seed
 #                         race runs one SSS pass
-#                         (portfolio_sss_passes_total = 1)
+#                         (portfolio_sss_passes_total = 1);
+#                         worker smoke: a max-min-balance race prints
+#                         the same table, winner and mapping under
+#                         --workers 1 and --workers 2
 #   7. panic gate       — no new unwrap()/assert!/panic! in the non-test
 #                         portions of noc-sim's config/network/traffic
 #                         constructor paths (typed ConfigError), the
@@ -101,6 +107,7 @@
 #                         through (obm_core::pool: an item's panic is
 #                         re-raised as is, never replaced by a new one),
 #                         the Objective implementations and the
+#                         exchange search, the
 #                         online remap controller (typed RemapError;
 #                         a mid-run controller must never abort a
 #                         simulation), the ChipLayout/placement
@@ -169,6 +176,10 @@ echo "==> batch-evaluation determinism suite (release)"
 cargo test -q --release --test eval_batch
 cargo test -q --release --test solver_goldens
 cargo test -q --release --test oracles
+# The exchange search (every non-min-max race's polish and the remap
+# re-solver) against its pinned outputs; release adds workload seeds 1
+# and 2014 to the default ones.
+cargo test -q --release --test exchange_goldens
 
 echo "==> simulator determinism suite (release)"
 # The pinned golden SimReports — the default Bernoulli stream (unchanged
@@ -428,6 +439,21 @@ passes=$(grep -E '^portfolio_sss_passes_total ' "$smokedir/shared.prom" | cut -d
 [[ "$passes" == "1" ]] \
     || { echo "shared-pass smoke: expected 1 SSS pass, got '$passes'"; exit 1; }
 echo "--> shared pass: 1 SSS pass served the SSS task and $hybrids hybrids"
+
+echo "==> CLI worker smoke: a max-min-balance race ignores the worker count"
+# Every task of a max-min-balance race ends in the exchange search; one
+# worker and two must print the same bytes apart from the two lines that
+# state the worker count (the logical clock zeroes the rates).
+for w in 1 2; do
+    OBM_METRICS_CLOCK=logical "$obm" solve "$smokedir/c1.spec" \
+        --objective max-min-balance --workers "$w" \
+        | grep -vE '^(portfolio|parallelism): ' > "$smokedir/balance_w$w.txt"
+done
+grep -q "^winner: " "$smokedir/balance_w1.txt" \
+    || { echo "worker smoke: no winner line"; exit 1; }
+cmp "$smokedir/balance_w1.txt" "$smokedir/balance_w2.txt" \
+    || { echo "max-min-balance race differs between --workers 1 and 2"; exit 1; }
+echo "--> workers: max-min-balance winner and mapping identical under 1 and 2 workers"
 
 echo "==> panic gate: error-typed constructor and solver paths"
 # SimConfig::validate(), TrafficSpec::new() and Network::new() report bad

@@ -7,18 +7,26 @@
 //! 1. one SSS pass (`sss_inner`) on a 4×4 instance whose evaluation
 //!    tables are already built, and
 //! 2. one exhaustive 4×4 placement search (`co_optimize` + `sss_inner`,
-//!    4 controllers), divided by its inner solves,
+//!    4 controllers), divided by its inner solves, and
+//! 3. one pass of the pairwise-exchange search `refine_for_objective`
+//!    over all 120 tile pairs, under each objective,
 //!
-//! and holds each to a committed budget. The pass keeps one scratch block
-//! (sorted/remaining tiles, per-application lists, one SAM workspace), so
-//! its count does not grow with applications or threads; a change that
-//! brings per-solve or per-row buffers back fails here.
+//! and holds each to a committed budget: none at all per exchange
+//! candidate, which each objective scores from the evaluator's sums. The
+//! SSS pass keeps one scratch block (sorted/remaining tiles,
+//! per-application lists, one SAM workspace), so its count does not grow
+//! with applications or threads; a change that brings per-solve or
+//! per-row buffers back fails here.
 //!
 //! The counter is process-wide, so everything runs in one test, and each
 //! measurement takes the minimum over a few repetitions: a stray
 //! allocation on another thread can only raise a count.
 
-use obm::mapping::{co_optimize, sss_inner, ObmInstance, PlacementOptions, SearchMode};
+use obm::mapping::algorithms::{Mapper, RandomMapper};
+use obm::mapping::{
+    co_optimize, refine_for_objective, sss_inner, Energy, MaxMinBalance, MigrationPenalized,
+    MinMaxApl, Objective, ObmInstance, PlacementOptions, SearchMode,
+};
 use obm::model::{Mesh, TileLatencies};
 use obm::workload::{PaperConfig, WorkloadBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -121,6 +129,31 @@ fn sss_pass_and_placement_candidates_stay_within_allocation_budgets() {
         "exhaustive 4×4 search solved {solves} layouts"
     );
     let per_candidate = search.div_ceil(solves);
+
+    // One exchange pass against none: the difference is what the 120
+    // candidates cost.
+    let start = RandomMapper.map(&inst, 0);
+    let migration = MigrationPenalized {
+        base: MinMaxApl,
+        reference: start.clone(),
+        weight: 0.02,
+        mesh,
+    };
+    let objectives: [&dyn Objective; 4] =
+        [&MinMaxApl, &MaxMinBalance, &Energy::default(), &migration];
+    for obj in objectives {
+        let [setup, pass] = [0, 1].map(|passes| {
+            min_allocations(|| {
+                std::hint::black_box(refine_for_objective(&inst, start.clone(), obj, passes));
+            })
+        });
+        assert_eq!(
+            pass,
+            setup,
+            "one {} exchange pass allocated {pass} times, its set-up {setup}",
+            obj.name()
+        );
+    }
     println!(
         "SSS pass: {pass} allocations; placement search: {search} allocations \
          over {solves} inner solves = {per_candidate} per candidate"

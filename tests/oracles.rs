@@ -8,6 +8,11 @@
 //!   per-application APLs recomputed straight from Eq. (13) — the
 //!   latency-balance formulation of GenMap's `LatencyBalanceEval` — with
 //!   unit and with non-unit application weights.
+//! - Every `Objective` scored from the `IncrementalEvaluator`'s running
+//!   sums against its former report-based formula applied to
+//!   `ev.report()`, bit for bit, after each step of a random swap history
+//!   with non-unit weights (energy, which reads only the mapping, against
+//!   `ObjectiveSpec::score`).
 //! - The SSS window kernel `IncrementalEvaluator::best_window_permutation`
 //!   against a from-state search rebuilt here from the public
 //!   `apply_window_permutation`: each candidate is applied to a clone of
@@ -35,8 +40,8 @@ use obm::mapping::algorithms::{
     metropolis_accept, BranchAndBound, BruteForce, Mapper, RandomMapper,
 };
 use obm::mapping::{
-    evaluate, weighted_max_apl, CancelToken, IncrementalEvaluator, Mapping, ObjectiveSpec,
-    ObmInstance,
+    evaluate, migration_distance, weighted_max_apl, CancelToken, Energy, IncrementalEvaluator,
+    Mapping, MaxMinBalance, MigrationPenalized, MinMaxApl, Objective, ObjectiveSpec, ObmInstance,
 };
 use obm::model::{
     ChipLayout, Coord, LatencyParams, MemoryControllers, Mesh, PlacementError, TileId,
@@ -156,6 +161,55 @@ proptest! {
             (fast - naive).abs() <= 1e-9 * max,
             "weighted MaxMinBalance {fast} vs naive {naive}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Each objective's evaluator score equals its former formula over
+    /// `ev.report()` bitwise, at every step of a random swap history
+    /// (holes included), with non-unit weights.
+    #[test]
+    fn evaluator_scores_match_the_report_formulas(
+        inst in arb_small_instance(),
+        seed in any::<u64>(),
+    ) {
+        let inst = inst.clone().with_app_weights(random_weights(inst.num_apps(), seed));
+        let start = RandomMapper.map(&inst, seed);
+        let k = inst.num_tiles();
+        let migration = MigrationPenalized {
+            base: MaxMinBalance,
+            reference: start.clone(),
+            weight: 0.25,
+            mesh: Mesh::new(1, k),
+        };
+        let mut ev = IncrementalEvaluator::new(&inst, start);
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..64 {
+            ev.swap_tiles(TileId(rng.gen_range(0..k)), TileId(rng.gen_range(0..k)));
+            let r = ev.report();
+            let min = r
+                .per_app
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| inst.app_weight(i) * d)
+                .fold(f64::INFINITY, f64::min);
+            let balance = r.max_apl - min;
+            let moved = migration_distance(&migration.mesh, &migration.reference, ev.mapping());
+            for (name, got, want) in [
+                ("min-max-apl", MinMaxApl.score(&ev), r.max_apl),
+                ("max-min-balance", MaxMinBalance.score(&ev), balance),
+                (
+                    "energy",
+                    Energy::default().score(&ev),
+                    ObjectiveSpec::Energy.score(&inst, ev.mapping()),
+                ),
+                ("migration", migration.score(&ev), balance + 0.25 * moved as f64),
+            ] {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "{} at edit {}", name, ev.edits());
+            }
+        }
     }
 }
 

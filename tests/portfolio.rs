@@ -10,7 +10,7 @@ use std::time::Duration;
 use obm::mapping::algorithms::{
     BalancedGreedy, HybridSssSa, Mapper, SimulatedAnnealing, SortSelectSwap,
 };
-use obm::mapping::{evaluate, CancelToken, Mapping, ObmInstance};
+use obm::mapping::{evaluate, CancelToken, Mapping, ObjectiveSpec, ObmInstance};
 use obm::metrics::MetricsRegistry;
 use obm::model::{LatencyParams, MemoryControllers, Mesh, TileLatencies};
 use obm::portfolio::CompletedTask;
@@ -100,11 +100,13 @@ proptest! {
 }
 
 /// Pinned determinism on the 8×8 paper instance: 1, 2 and 4 workers all
-/// return the same winner, objective bits, and stats table.
+/// return the same winner, objective bits, and stats table, under the
+/// paper's objective and under the two that polish every task with the
+/// exchange search.
 #[test]
 fn worker_count_never_changes_the_answer_on_8x8() {
     let inst = c1_instance();
-    let solve = |workers: usize| {
+    let solve = |workers: usize, objective: ObjectiveSpec| {
         SolveRequest::builder(&inst)
             .algorithm(Algorithm::SortSelectSwap(SortSelectSwap::default()))
             .algorithm(Algorithm::SimulatedAnnealing(SimulatedAnnealing {
@@ -112,26 +114,33 @@ fn worker_count_never_changes_the_answer_on_8x8() {
                 ..SimulatedAnnealing::default()
             }))
             .seeds([1, 2])
+            .objective(objective)
             .workers(workers)
             .build()
             .expect("valid request")
             .solve()
     };
-    let one = solve(1);
-    assert_eq!(one.termination, Termination::Completed);
-    for workers in [2usize, 4] {
-        let multi = solve(workers);
-        assert_eq!(multi.objective.to_bits(), one.objective.to_bits());
-        assert_eq!(multi.winner, one.winner);
-        assert_eq!(multi.winner_seed, one.winner_seed);
-        assert_eq!(multi.mapping.as_slice(), one.mapping.as_slice());
-        assert_eq!(multi.stats.len(), one.stats.len());
-        for (a, b) in multi.stats.iter().zip(&one.stats) {
-            assert_eq!(a.task, b.task);
-            assert_eq!(a.algo, b.algo);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.evaluations, b.evaluations);
-            assert_eq!(a.objective.map(f64::to_bits), b.objective.map(f64::to_bits));
+    for objective in [
+        ObjectiveSpec::MinMaxApl,
+        ObjectiveSpec::MaxMinBalance,
+        ObjectiveSpec::Energy,
+    ] {
+        let one = solve(1, objective);
+        assert_eq!(one.termination, Termination::Completed);
+        for workers in [2usize, 4] {
+            let multi = solve(workers, objective);
+            assert_eq!(multi.objective.to_bits(), one.objective.to_bits());
+            assert_eq!(multi.winner, one.winner);
+            assert_eq!(multi.winner_seed, one.winner_seed);
+            assert_eq!(multi.mapping.as_slice(), one.mapping.as_slice());
+            assert_eq!(multi.stats.len(), one.stats.len());
+            for (a, b) in multi.stats.iter().zip(&one.stats) {
+                assert_eq!(a.task, b.task);
+                assert_eq!(a.algo, b.algo);
+                assert_eq!(a.seed, b.seed);
+                assert_eq!(a.evaluations, b.evaluations);
+                assert_eq!(a.objective.map(f64::to_bits), b.objective.map(f64::to_bits));
+            }
         }
     }
 }
